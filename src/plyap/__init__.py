@@ -28,7 +28,6 @@ from .geometry import (
     hilbert_distance,
     log_projective_divergence,
     overlap_magnitude,
-    projective_divergence,
 )
 from .series import (
     DEFAULT_THETA,

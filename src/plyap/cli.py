@@ -1,7 +1,6 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
-PLYAP_THREADS caps the parallelism of figure bundles.
 """
 
 import argparse

@@ -55,17 +55,16 @@ def divergence_series(times, path, reference, theta=DEFAULT_THETA):
 
     Args:
         times: strictly increasing sample times, one per state.
-        path: sequence of ProjectiveState sharing the reference's basis.
+        path: iterable of ProjectiveState sharing the reference's basis, consumed lazily.
         reference: the fixed comparison state.
         theta: saturation threshold in radians, 0 <= theta < pi/2.
 
     Returns:
         (DistanceSeries, DivergenceSeries).
     """
-    states = list(path)
-    if not states:
+    overlaps = np.array([overlap_magnitude(s, reference) for s in path])
+    if not overlaps.size:
         raise DomainError("path must contain at least one state")
-    overlaps = np.array([overlap_magnitude(s, reference) for s in states])
     with np.errstate(divide="ignore"):
         log_overlaps = np.log(overlaps)
     return series_from_log_overlaps(times, log_overlaps, theta=theta)
@@ -168,6 +167,8 @@ def asymptotic_estimate(
     curve = finite_time_p_lyapunov(div, delta_index=delta_index)
 
     if mode == "pointwise":
+        if not curve.size:
+            raise InsufficientDataError("no finite points on the finite-time curve")
         k = max(1, curve.shape[0] // 4)
         tail = curve[-k:]
         value = float(np.mean(tail[:, 1]))
@@ -181,13 +182,13 @@ def asymptotic_estimate(
             saturation_time=saturation_time,
         )
 
-    explicit = window is not None and window[0] is not None and window[1] is not None
-    if window is None:
-        window = _auto_window(t, lnd, valid)
-        if window is None:
+    explicit = window is not None and None not in window
+    if not explicit:
+        auto = _auto_window(t, lnd, valid)
+        if auto is None:
             raise InsufficientDataError("no finite increments to fit")
-    t1 = window[0] if window[0] is not None else _auto_window(t, lnd, valid)[0]
-    t2 = window[1] if window[1] is not None else _auto_window(t, lnd, valid)[1]
+        window = tuple(a if w is None else w for w, a in zip(window or (None, None), auto))
+    t1, t2 = window
     sel = valid & np.isfinite(lnd) & (t >= t1) & (t <= t2)
     npts = int(sel.sum())
     if explicit and npts < 4:
@@ -260,21 +261,24 @@ def ingest_overlap_series(raw: OverlapSeries, theta=DEFAULT_THETA):
 def read_overlap_csv(path, convention: str = "amplitude") -> OverlapSeries:
     """Read an overlap series from a CSV file with header ``t,overlap``."""
     times, overlaps = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["t", "overlap"]:
-            raise DataFormatError(f"{path}: expected header 't,overlap', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                times.append(float(row[0]))
-                overlaps.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise DataFormatError(
-                    f"{path}: malformed row at line {lineno}: {row!r}", row=lineno
-                ) from exc
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[:2]] != ["t", "overlap"]:
+                raise DataFormatError(f"{path}: expected header 't,overlap', got {header!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                try:
+                    times.append(float(row[0]))
+                    overlaps.append(float(row[1]))
+                except (IndexError, ValueError) as exc:
+                    raise DataFormatError(
+                        f"{path}: malformed row at line {lineno}: {row!r}", row=lineno
+                    ) from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc}") from exc
     if not times:
         raise DataFormatError(f"{path}: no data rows")
     try:

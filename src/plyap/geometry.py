@@ -34,7 +34,6 @@ __all__ = [
     "fubini_study_distance",
     "bounded_euclidean_distance",
     "classical_divergence",
-    "projective_divergence",
     "log_projective_divergence",
     "log_abs_exp_diff",
     "euclidean_phase_distance",
@@ -191,11 +190,6 @@ def classical_divergence(d_b) -> float:
         raise SaturationError("bounded distance reached pi; divergence undefined")
     out = d_b / (np.pi - d_b)
     return float(out) if out.ndim == 0 else out
-
-
-def projective_divergence(d_p) -> float:
-    """Divergence of a ray-space distance: d_P / (pi - d_P), same form as classical."""
-    return classical_divergence(d_p)
 
 
 _SMALL_OVERLAP = 1e-8

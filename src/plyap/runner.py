@@ -5,12 +5,11 @@ significant digit formatting so reruns are byte-identical, and every output
 file embeds the config hash.
 """
 
-import concurrent.futures
 import datetime
 import hashlib
+import itertools
 import json
-import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -57,72 +56,166 @@ __all__ = [
     "validate_summary",
 ]
 
-_SYSTEMS = (
-    "linear",
-    "r_adic",
-    "baker_classical",
-    "baker_koopman",
-    "oscillator",
-    "barrier",
-    "bvs_baker",
-    "overlap_file",
-)
 
-_MAP_SYSTEMS = ("r_adic", "baker_classical", "baker_koopman", "bvs_baker")
+def _map_system(start):
+    """The series of a map system whose start(params) gives (initial state, one
+    map step, embedding into the ProjectiveState compared with the first).
+    Samples lie dt map steps apart; the generator keeps one state alive."""
+
+    def series(cfg, p):
+        def path(state, step, embed):
+            yield embed(state)
+            for _ in range(cfg.steps):
+                for _ in range(int(cfg.dt)):
+                    state = step(state)
+                yield embed(state)
+
+        states = path(*start(p))
+        ref = next(states)
+        times = np.arange(cfg.steps + 1) * cfg.dt
+        return divergence_series(times, itertools.chain([ref], states), ref, theta=cfg.theta)
+
+    return series
+
+
+def _r_adic_start(p):
+    m = r_adic_map(p["r"])
+    rho = square_density(p["init_width"], GridBasis1D(p["grid_n"], 0.0, 1.0))
+    return rho, lambda d: transfer_step(d, m), sqrt_embed
+
+
+def _baker_start(p):
+    rho = _slab_density_2d(2 ** p["grid_m"], p["init_width"])
+    return rho, lambda d: transfer_step(d, baker_map()), sqrt_embed
+
+
+def _koopman_start(p):
+    ref = sqrt_embed(_slab_density_2d(2 ** p["grid_m"], p["init_width"]))
+    return ref, lambda s: koopman_step(s, baker_map()), lambda s: s
+
+
+def _bvs_start(p):
+    b_mat = bvs_baker(p["n_dim"])
+    psi = bvs_coherent_state(p["n_dim"], p["q0"], p["p0"], p["alpha"])
+    return psi.amplitudes, lambda amp: b_mat @ amp, lambda amp: ProjectiveState(amp, psi.basis)
+
+
+def _gaussian_series(cfg, p, sign):
+    quad = QuadraticSystem(p["omega"], sign=sign)
+    times = np.arange(cfg.steps + 1) * cfg.dt
+    v = gaussian_autocorrelation(quad, GaussianState(p["omega0"]), times)
+    with np.errstate(divide="ignore"):
+        return series_from_log_overlaps(times, np.log(v), theta=cfg.theta)
+
+
+def _read_series(cfg, p):
+    raw = read_overlap_csv(p["path"], convention=cfg.convention)
+    return ingest_overlap_series(raw, theta=cfg.theta)
+
+
+def _number(v, kind=(int, float)) -> bool:
+    # bool is an int subclass; NaN, infinities and huge ints are not usable numbers
+    return isinstance(v, kind) and not isinstance(v, bool) and abs(v) <= np.finfo(float).max
+
+
+def _window(w) -> bool:
+    return isinstance(w, (list, tuple)) and len(w) == 2 and all(
+        t is None or _number(t) for t in w) and (None in w or w[0] < w[1])
+
+
+def _one_of(*names):
+    return "one of " + ", ".join(names), names.__contains__
+
+
+def _field(domain, default=MISSING):
+    return field(default=default, metadata={"domain": domain})
+
+
+def _check(name, value, domain):
+    text, ok = domain
+    if not ok(value):
+        raise ConfigError(f"{name} must be {text}, got {value!r}", field=name)
+
+
+_MAP = {"dt": ("a whole number of map steps > 0", lambda v: v == int(v))}
+
+# Each system once: its parameters' defaults (a value, a function of those before
+# it, or None when the config must give it), its series, and the field domains it
+# narrows.  Entries call plyap functions through this module's global names at
+# call time, so a wrapper installed on a name (the benchmark tracer) sees the call.
+_SYSTEMS = {
+    "linear": (
+        {"r": 2.0, "b": 1.0},
+        lambda cfg, p: evolve_linear_analytic(p["b"], p["r"], cfg.steps, theta=cfg.theta),
+        {},
+    ),
+    "r_adic": (
+        {"r": 2, "grid_n": 2**16, "init_width": 2.0**-10},
+        _map_system(_r_adic_start),
+        {**_MAP, "r": ("an integer >= 2", lambda v: v == int(v))},
+    ),
+    "baker_classical": ({"grid_m": 10, "init_width": 2.0**-8}, _map_system(_baker_start), _MAP),
+    "baker_koopman": ({"grid_m": 10, "init_width": 2.0**-8}, _map_system(_koopman_start), _MAP),
+    "oscillator": (
+        {"omega": None, "omega0": lambda p: p["omega"] / 2.0},
+        lambda cfg, p: _gaussian_series(cfg, p, +1),
+        {},
+    ),
+    "barrier": ({"omega": None, "omega0": 1.0}, lambda cfg, p: _gaussian_series(cfg, p, -1), {}),
+    "bvs_baker": (
+        {"n_dim": 1800, "q0": 1.0 / 3.0, "p0": 2.0 / 3.0,
+         "alpha": lambda p: 1.0 / (2.0 * np.pi * p["n_dim"])},
+        _map_system(_bvs_start),
+        _MAP,
+    ),
+    "overlap_file": ({"path": None}, _read_series, {}),
+}
+
+_POSITIVE = ("> 0", lambda v: _number(v) and v > 0.0)
+_COUNT = ("an integer >= 1", lambda v: _number(v, int) and v >= 1)
+_UNIT = ("in [0, 1)", lambda v: _number(v) and 0.0 <= v < 1.0)
+_NAME = ("a filesystem-safe name",
+         lambda v: isinstance(v, str) and v != "" and not any(c in v for c in "/\\ \t\n"))
+_EVEN = ("an even integer >= 2", lambda v: _number(v, int) and v % 2 == 0 and v >= 2)
+_ANGLE = ("in [0, pi/2)", lambda v: _number(v) and 0.0 <= v < np.pi / 2)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat, JSON-serializable description of one experiment."""
+    """Flat, JSON-serializable description of one experiment.
 
-    id: str
-    system: str
-    steps: int = 40
-    dt: float = 1.0
+    A field that is set must lie in its domain (text, test) and in any narrower
+    domain its system declares; otherwise construction raises ConfigError."""
+
+    id: str = _field(_NAME)
+    system: str = _field(_one_of(*_SYSTEMS))
+    steps: int = _field(_COUNT, 40)
+    dt: float = _field(_POSITIVE, 1.0)
     # system parameters; which ones apply depends on `system`
-    r: float | None = None
-    b: float | None = None
-    init_width: float | None = None
-    grid_n: int | None = None
-    grid_m: int | None = None
-    omega: float | None = None
-    omega0: float | None = None
-    n_dim: int | None = None
-    q0: float | None = None
-    p0: float | None = None
-    alpha: float | None = None
-    path: str | None = None
-    convention: str = "amplitude"
+    r: float | None = _field(("> 1", lambda v: _number(v) and v > 1.0), None)
+    b: float | None = _field(_POSITIVE, None)
+    init_width: float | None = _field(("in (0, 1]", lambda v: _number(v) and 0.0 < v <= 1.0), None)
+    grid_n: int | None = _field(_COUNT, None)
+    grid_m: int | None = _field(_COUNT, None)
+    omega: float | None = _field(_POSITIVE, None)
+    omega0: float | None = _field(_POSITIVE, None)
+    n_dim: int | None = _field(_EVEN, None)
+    q0: float | None = _field(_UNIT, None)
+    p0: float | None = _field(_UNIT, None)
+    alpha: float | None = _field(_POSITIVE, None)
+    path: str | None = _field(("a file path", lambda v: isinstance(v, str) and v != ""), None)
+    convention: str = _field(_one_of("amplitude", "probability"), "amplitude")
     # estimator settings
-    mode: str = "regression"
-    theta: float = DEFAULT_THETA
-    delta_index: int = 1
-    window: tuple | None = None
-    stable_threshold: float = 0.01
-    seed: int = 0
+    mode: str = _field(_one_of("regression", "pointwise"), "regression")
+    theta: float = _field(_ANGLE, DEFAULT_THETA)
+    delta_index: int = _field(_COUNT, 1)
+    window: tuple | None = _field(("[t1, t2] of numbers or nulls with t1 < t2", _window), None)
+    stable_threshold: float = _field((">= 0", lambda v: _number(v) and v >= 0.0), 0.01)
 
     def __post_init__(self):
-        if not self.id or any(ch in self.id for ch in "/\\ \t\n"):
-            raise ConfigError(f"id {self.id!r} is not filesystem-safe", field="id")
-        if self.system not in _SYSTEMS:
-            raise ConfigError(f"unknown system {self.system!r}", field="system")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1", field="steps")
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive", field="dt")
-        if self.system in _MAP_SYSTEMS and self.dt != int(self.dt):
-            raise ConfigError("map systems need an integer dt (map steps per sample)", field="dt")
-        if self.mode not in ("regression", "pointwise"):
-            raise ConfigError(f"unknown mode {self.mode!r}", field="mode")
-        if not 0.0 <= self.theta < np.pi / 2:
-            raise ConfigError("theta must lie in [0, pi/2)", field="theta")
-        if self.delta_index < 1:
-            raise ConfigError("delta_index must be >= 1", field="delta_index")
+        _params(self)
         if self.window is not None:
-            w = tuple(self.window)
-            if len(w) != 2:
-                raise ConfigError("window must be [t1, t2]", field="window")
-            object.__setattr__(self, "window", w)
+            object.__setattr__(self, "window", tuple(self.window))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -174,122 +267,43 @@ def _slab_density_2d(n: int, width: float) -> GridDensity:
     return GridDensity(values, geom)
 
 
-def _build_series(cfg: ExperimentConfig, defaults: dict):
-    """Produce the (DistanceSeries, DivergenceSeries) pair for a config."""
-    if cfg.system == "linear":
-        r = cfg.r if cfg.r is not None else defaults.setdefault("r", 2.0)
-        b = cfg.b if cfg.b is not None else defaults.setdefault("b", 1.0)
-        return evolve_linear_analytic(b, r, cfg.steps, theta=cfg.theta)
-
-    if cfg.system == "r_adic":
-        r = int(cfg.r) if cfg.r is not None else defaults.setdefault("r", 2)
-        n = cfg.grid_n if cfg.grid_n is not None else defaults.setdefault("grid_n", 2**16)
-        width = (
-            cfg.init_width
-            if cfg.init_width is not None
-            else defaults.setdefault("init_width", 2.0**-10)
-        )
-        grid = GridBasis1D(n, 0.0, 1.0)
-        rho = square_density(width, grid)
-        ref = sqrt_embed(rho)
-        states = [ref]
-        m = r_adic_map(r)
-        for _ in range(cfg.steps):
-            rho = transfer_step(rho, m)
-            states.append(sqrt_embed(rho))
-        times = np.arange(cfg.steps + 1) * cfg.dt
-        return divergence_series(times, states, ref, theta=cfg.theta)
-
-    if cfg.system in ("baker_classical", "baker_koopman"):
-        m_exp = cfg.grid_m if cfg.grid_m is not None else defaults.setdefault("grid_m", 10)
-        width = (
-            cfg.init_width
-            if cfg.init_width is not None
-            else defaults.setdefault("init_width", 2.0**-8)
-        )
-        n = 2**m_exp
-        rho = _slab_density_2d(n, width)
-        bmap = baker_map()
-        ref = sqrt_embed(rho)
-        states = [ref]
-        if cfg.system == "baker_classical":
-            cur = rho
-            for _ in range(cfg.steps):
-                cur = transfer_step(cur, bmap)
-                states.append(sqrt_embed(cur))
-        else:
-            cur = ref
-            for _ in range(cfg.steps):
-                cur = koopman_step(cur, bmap)
-                states.append(cur)
-        times = np.arange(cfg.steps + 1) * cfg.dt
-        return divergence_series(times, states, ref, theta=cfg.theta)
-
-    if cfg.system in ("oscillator", "barrier"):
-        if cfg.omega is None:
-            raise ConfigError(f"{cfg.system} needs omega", field="omega")
-        sign = +1 if cfg.system == "oscillator" else -1
-        default_w0 = cfg.omega / 2.0 if sign > 0 else 1.0
-        omega0 = (
-            cfg.omega0 if cfg.omega0 is not None else defaults.setdefault("omega0", default_w0)
-        )
-        sys = QuadraticSystem(cfg.omega, sign=sign)
-        g = GaussianState(omega0)
-        times = np.arange(cfg.steps + 1) * cfg.dt
-        v = gaussian_autocorrelation(sys, g, times)
-        with np.errstate(divide="ignore"):
-            return series_from_log_overlaps(times, np.log(v), theta=cfg.theta)
-
-    if cfg.system == "bvs_baker":
-        n_dim = cfg.n_dim if cfg.n_dim is not None else defaults.setdefault("n_dim", 1800)
-        q0 = cfg.q0 if cfg.q0 is not None else defaults.setdefault("q0", 1.0 / 3.0)
-        p0 = cfg.p0 if cfg.p0 is not None else defaults.setdefault("p0", 2.0 / 3.0)
-        alpha = (
-            cfg.alpha
-            if cfg.alpha is not None
-            else defaults.setdefault("alpha", 1.0 / (2.0 * np.pi * n_dim))
-        )
-        b_mat = bvs_baker(n_dim)
-        psi = bvs_coherent_state(n_dim, q0, p0, alpha)
-        ref = psi
-        states = [psi]
-        per_sample = int(cfg.dt)
-        for _ in range(cfg.steps):
-            amp = psi.amplitudes
-            for _ in range(per_sample):
-                amp = b_mat @ amp
-            psi = ProjectiveState(amp, psi.basis)
-            states.append(psi)
-        times = np.arange(cfg.steps + 1) * cfg.dt
-        return divergence_series(times, states, ref, theta=cfg.theta)
-
-    if cfg.system == "overlap_file":
-        if not cfg.path:
-            raise ConfigError("overlap_file needs a path", field="path")
-        raw = read_overlap_csv(cfg.path, convention=cfg.convention)
-        return ingest_overlap_series(raw, theta=cfg.theta)
-
-    raise ConfigError(f"unknown system {cfg.system!r}", field="system")
+def _params(cfg: ExperimentConfig):
+    """Check cfg, raising ConfigError naming the field; return the values of
+    its system's parameters and the defaults applied."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is not None or f.default is not None:  # None only where it is the default
+            _check(f.name, value, f.metadata["domain"])
+    defaults, _, narrowed = _SYSTEMS[cfg.system]
+    for name, domain in narrowed.items():
+        if getattr(cfg, name) is not None:
+            _check(name, getattr(cfg, name), domain)
+    values, applied = {}, {}
+    for name, default in defaults.items():
+        value = getattr(cfg, name)
+        if value is None:
+            if default is None:
+                raise ConfigError(f"{cfg.system} needs {name}", field=name)
+            value = applied[name] = default(values) if callable(default) else default
+        values[name] = value
+    return values, applied
 
 
 def _estimate_and_classify(cfg: ExperimentConfig, dist, div):
     """Shared estimator pipeline: plateau detection, windowing, classification."""
     t_b = detect_saturation(dist)
-    start = end = None
-    if cfg.window is not None:
-        start, end = cfg.window
+    start, end = cfg.window or (None, None)
     if end is None and t_b is not None:
         # keep the fit strictly before the plateau
         half_step = 0.5 * float(np.min(np.diff(dist.times)))
         end = t_b - half_step
-    window = None if (start is None and end is None) else (start, end)
 
     curve = None
     estimate = None
     detail = None
     try:
         estimate = asymptotic_estimate(
-            div, mode=cfg.mode, window=window, delta_index=cfg.delta_index, saturation_time=t_b
+            div, mode=cfg.mode, window=(start, end), delta_index=cfg.delta_index, saturation_time=t_b
         )
         curve = estimate.finite_time_curve
         lam = estimate.asymptotic_value
@@ -382,8 +396,8 @@ def validate_summary(doc: dict, schema: dict = SUMMARY_SCHEMA):
 
 def run(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Execute one experiment; write CSVs and summary.json when out_dir is given."""
-    defaults: dict = {}
-    dist, div = _build_series(config, defaults)
+    params, defaults = _params(config)
+    dist, div = _SYSTEMS[config.system][1](config, params)
     curve, estimate, classification, t_b, detail = _estimate_and_classify(config, dist, div)
 
     summary = {
@@ -504,26 +518,12 @@ def _figure_presets(fig_id: str):
 FIGURE_IDS = ("fig1a", "fig1b", "fig2a")
 
 
-def _max_workers(n_jobs: int) -> int:
-    env = os.environ.get("PLYAP_THREADS", "")
-    if env.strip():
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"PLYAP_THREADS={env!r} is not an integer") from exc
-        if cap < 1:
-            raise ConfigError("PLYAP_THREADS must be >= 1")
-        return min(cap, n_jobs)
-    return min(4, n_jobs)
-
-
 def figure(fig_id: str, out_dir) -> list:
     """Run the preset bundle for a named figure and render its SVG."""
     configs, hlines, xlabel, ylabel = _figure_presets(fig_id)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with concurrent.futures.ThreadPoolExecutor(_max_workers(len(configs))) as pool:
-        results = list(pool.map(lambda cfg: run(cfg, out_dir=out_dir), configs))
+    results = [run(cfg, out_dir=out_dir) for cfg in configs]
     curves = []
     for res in results:
         curve = res.curve if res.curve is not None else np.empty((0, 2))

@@ -194,6 +194,23 @@ class TestAsymptoticEstimate:
         with pytest.raises(InsufficientDataError):
             asymptotic_estimate(div, window=(36.0, 38.0))
 
+    @pytest.mark.parametrize("window", [(None, 3.0), (1.0, None), (None, None)])
+    def test_half_open_window_without_finite_increments(self, window):
+        # the overlap drops to exactly 0: ln|dL| is never finite, so there is
+        # no auto bound to fill the open end with
+        raw = OverlapSeries(np.arange(6.0), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        _, div = ingest_overlap_series(raw, theta=0.0)
+        with pytest.raises(InsufficientDataError):
+            asymptotic_estimate(div, window=window)
+
+    def test_pointwise_needs_a_finite_curve_point(self):
+        # the path jumps once and then stands still (an r-adic density on two
+        # cells): every later increment vanishes, so the curve has no points
+        _, div = series_from_log_overlaps(np.arange(4.0), np.array([0.0, -1.0, -1.0, -1.0]), theta=0.0)
+        assert finite_time_p_lyapunov(div).size == 0
+        with pytest.raises(InsufficientDataError):
+            asymptotic_estimate(div, mode="pointwise")
+
     def test_all_saturated_raises(self):
         t = np.arange(6.0)
         dist, div = series_from_log_overlaps(t, -19.0 - t, theta=0.4)
@@ -268,6 +285,11 @@ class TestOverlapCsv:
         with pytest.raises(DataFormatError) as err:
             read_overlap_csv(p)
         assert err.value.row == 3
+
+    def test_unreadable_file_is_a_data_error(self, tmp_path):
+        for p in (tmp_path / "missing.csv", tmp_path):
+            with pytest.raises(DataFormatError):
+                read_overlap_csv(p)
 
     def test_out_of_range_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"

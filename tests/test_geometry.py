@@ -18,7 +18,6 @@ from plyap import (
     hilbert_distance,
     log_projective_divergence,
     overlap_magnitude,
-    projective_divergence,
 )
 
 
@@ -167,12 +166,6 @@ class TestDivergence:
             assert classical_divergence(bounded_euclidean_distance(d)) == d
         d = 1e6
         assert abs(classical_divergence(bounded_euclidean_distance(d)) - d) <= 1e-10 * (1 + d)
-
-    def test_projective_divergence_matches_form(self):
-        assert projective_divergence(0.0) == 0.0
-        assert projective_divergence(np.pi / 2) == pytest.approx(1.0, abs=1e-15)
-        with pytest.raises(SaturationError):
-            projective_divergence(np.pi + 0.1)
 
 
 class TestLogDivergence:

@@ -1,10 +1,27 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from plyap import ConfigError, validate_summary
-from plyap.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from plyap import (
+    ConfigError,
+    GridBasis1D,
+    divergence_series,
+    r_adic_map,
+    sqrt_embed,
+    square_density,
+    transfer_step,
+    validate_summary,
+)
+from plyap.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from plyap.runner import ExperimentConfig, figure, ingest, run
 
 LN2_HALF = np.log(2.0) / 2.0
@@ -36,6 +53,12 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(id="x", system="bvs_baker", dt=0.5)
         assert err.value.field == "dt"
+
+    @pytest.mark.parametrize("window", [[30, 5], [5.0, 5.0], ["x", 5], [None, True], [1.0], "ab"])
+    def test_bad_window_rejected(self, window):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(id="x", system="linear", window=window)
+        assert err.value.field == "window"
 
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(id="x", system="linear", r=2.0)
@@ -109,6 +132,53 @@ class TestRun:
         assert res.classification == "unstable"
         assert res.summary["lambda"] == pytest.approx(np.log(2.0), rel=0.10)
 
+    @pytest.mark.parametrize(
+        "system, params, map_steps",
+        [
+            ("r_adic", dict(grid_n=2**12, init_width=2.0**-12), 12),
+            ("baker_classical", dict(grid_m=8, init_width=2.0**-8), 8),
+            ("baker_koopman", dict(grid_m=8, init_width=2.0**-8), 8),
+        ],
+    )
+    def test_dt_is_map_steps_per_sample(self, system, params, map_steps):
+        lam = [
+            run(ExperimentConfig(id="dt", system=system, dt=dt, steps=map_steps // dt, **params))
+            .summary["lambda"]
+            for dt in (1, 2)
+        ]
+        assert lam[1] == pytest.approx(lam[0], rel=0.10)
+
+    @pytest.mark.parametrize("dt", [1, 2])
+    def test_r_adic_matches_explicit_state_list(self, dt):
+        # the README recipe, kept as the oracle of the streaming driver
+        grid = GridBasis1D(2**12, 0.0, 1.0)
+        rho = square_density(2.0**-6, grid)
+        ref = sqrt_embed(rho)
+        states = [ref]
+        for _ in range(8):
+            for _ in range(dt):
+                rho = transfer_step(rho, r_adic_map(2))
+            states.append(sqrt_embed(rho))
+        dist, div = divergence_series(np.arange(9.0) * dt, states, ref)
+        res = run(ExperimentConfig(id="radic", system="r_adic", steps=8, dt=dt, grid_n=2**12,
+                                   init_width=2.0**-6))
+        assert np.array_equal(res.distance.times, dist.times)
+        assert np.array_equal(res.distance.values, dist.values)
+        assert np.array_equal(res.divergence.log_values, div.log_values)
+
+    def test_run_holds_a_constant_number_of_states(self):
+        cfg = ExperimentConfig(id="mem", system="baker_classical", grid_m=9, steps=20)
+        run(cfg)  # the first run in a process also pays for one-off allocations
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one complex state on the 512 x 512 grid takes 16 * 512^2 bytes; a run
+        # that kept all 21 of its states would peak above 21 of them
+        assert peak < 8 * 16 * 512**2
+
     def test_baker_koopman_runs(self):
         cfg = ExperimentConfig(id="bk", system="baker_koopman", steps=6,
                                grid_m=7, init_width=2.0**-5)
@@ -155,14 +225,6 @@ class TestFigures:
                 a = (tmp_path / "a" / sub / name).read_bytes()
                 b = (tmp_path / "b" / sub / name).read_bytes()
                 assert a == b
-
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PLYAP_THREADS", "1")
-        results = figure("fig1a", tmp_path)
-        assert len(results) == 3
-        monkeypatch.setenv("PLYAP_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            figure("fig1a", tmp_path)
 
 
 class TestCli:
@@ -237,3 +299,103 @@ class TestSummarySchema:
             "saturation_time": None, "provenance": {"package_version": "0.1.0"},
         }
         assert validate_summary(doc)
+
+
+# every out-of-domain config the runner once mis-handled, with the field the
+# config error must name
+_OUT_OF_DOMAIN = [
+    ({"id": "x", "system": "bvs_baker", "n_dim": 63}, "n_dim"),
+    ({"id": "x", "system": "bvs_baker", "n_dim": 64.0}, "n_dim"),
+    ({"id": "x", "system": "bvs_baker", "n_dim": 64, "q0": 1.5}, "q0"),
+    ({"id": "x", "system": "linear", "r": 0.5}, "r"),
+    ({"id": "x", "system": "r_adic", "grid_n": 256, "init_width": 2.0}, "init_width"),
+    ({"id": "x", "system": "r_adic", "grid_n": 256, "r": 3.9}, "r"),
+    ({"id": "x", "system": "baker_classical", "grid_m": 0}, "grid_m"),
+    ({"id": "x", "system": "linear", "steps": 2.5}, "steps"),
+    ({"id": "x", "system": "linear", "steps": True}, "steps"),
+    ({"id": "x", "system": "linear", "window": [30, 5]}, "window"),
+]
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=3),
+)
+_SYSTEM_NAMES = [
+    "linear", "r_adic", "baker_classical", "baker_koopman", "oscillator", "barrier", "bvs_baker",
+    "overlap_file",
+]
+# mostly in-domain values at small sizes; a size left out would fall back to a
+# large default, so the sizes are always given
+_CONFIGS = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["run", "a-1"]),
+        "system": st.sampled_from(_SYSTEM_NAMES),
+        "steps": st.integers(1, 12),
+        "grid_n": st.integers(1, 256),
+        "grid_m": st.integers(1, 6),
+        "n_dim": st.integers(1, 32).map(lambda k: 2 * k),
+    },
+    optional={
+        "dt": st.sampled_from([1, 2, 1.0, 0.5, 0.05]),
+        "r": st.one_of(st.integers(2, 5), st.floats(1.01, 6.0)),
+        "b": st.floats(0.01, 3.0),
+        "init_width": st.floats(1e-3, 1.0),
+        "omega": st.floats(0.1, 6.0),
+        "omega0": st.floats(0.1, 6.0),
+        "q0": st.floats(0.0, 0.99),
+        "p0": st.floats(0.0, 0.99),
+        "alpha": st.floats(1e-3, 1.0),
+        "path": st.sampled_from(["series.csv", "missing.csv", "."]),
+        "convention": st.sampled_from(["amplitude", "probability"]),
+        "mode": st.sampled_from(["regression", "pointwise"]),
+        "theta": st.floats(0.0, 1.5),
+        "delta_index": st.integers(1, 4),
+        "window": st.lists(st.one_of(st.none(), st.floats(-5.0, 20.0)), min_size=2, max_size=2),
+        "stable_threshold": st.floats(0.0, 1.0),
+    },
+)
+# at most one field (or an unknown one) replaced by a value of any JSON type
+_MUTATIONS = st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__) + ["seed"]), _JUNK),
+)
+
+
+def _with_examples(test):
+    for cfg, _ in _OUT_OF_DOMAIN:
+        test = example(cfg, None)(test)
+    sizes = {"steps": 4, "grid_n": 2, "grid_m": 1, "n_dim": 2}
+    for path in ("series.csv", "missing.csv", "."):
+        test = example({"id": "run", "system": "overlap_file", "path": path, **sizes}, None)(test)
+    return test
+
+
+class TestExitCodes:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @_with_examples
+    @given(_CONFIGS, _MUTATIONS)
+    def test_every_config_ends_with_a_documented_exit_code(self, data, mutation):
+        if mutation is not None:
+            data = {**data, mutation[0]: mutation[1]}
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with open(os.path.join(tmp, "series.csv"), "w") as fh:
+                fh.write("t,overlap\n" + "".join(f"{k},{0.9**k}\n" for k in range(12)))
+            run_cfg = dict(data)
+            if isinstance(data.get("path"), str) and data["path"]:
+                run_cfg["path"] = os.path.join(tmp, data["path"])
+            cfg_path = os.path.join(tmp, "cfg.json")
+            with open(cfg_path, "w") as fh:
+                json.dump(run_cfg, fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["run", cfg_path, "--out", os.path.join(tmp, "out")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL)
+        for cfg, field in _OUT_OF_DOMAIN:
+            if data == cfg:
+                assert code == EXIT_CONFIG
+                assert f"config error: {field} " in err.getvalue()
