@@ -42,8 +42,6 @@ from .ensembles import (
     MapDescriptor,
     apply_map,
     baker_map,
-    density_to_csv,
-    density_to_json,
     evolve_linear_analytic,
     koopman_step,
     linear_map,
@@ -76,6 +74,7 @@ from .quantum import (
     split_operator_propagate,
 )
 from .runner import (
+    SUMMARY_SCHEMA,
     ExperimentConfig,
     ExperimentResult,
     figure,

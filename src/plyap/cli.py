@@ -38,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ing.add_argument("--out", default="plyap-out", help="output directory")
     p_ing.add_argument("--theta", type=float, default=None, help="saturation threshold")
-    p_ing.add_argument("--mode", choices=("regression", "pointwise"), default=None)
 
     sub.add_parser("selftest", help="run the built-in property checks")
     return parser
@@ -65,11 +64,7 @@ def main(argv=None) -> int:
                 print(f"{res.config.id}: {res.classification} lambda={lam_txt}")
             print(f"wrote {args.out}/{args.figure_id}.svg")
         elif args.command == "ingest":
-            kwargs = {}
-            if args.theta is not None:
-                kwargs["theta"] = args.theta
-            if args.mode is not None:
-                kwargs["mode"] = args.mode
+            kwargs = {} if args.theta is None else {"theta": args.theta}
             result = ingest(args.csv, convention=args.convention, out_dir=args.out, **kwargs)
             print(json.dumps(result.summary, indent=2, sort_keys=True))
         elif args.command == "selftest":

@@ -7,7 +7,6 @@ preimages are finite unions of rectangles, so the averages are exact and
 total mass is conserved to rounding.
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -30,8 +29,6 @@ __all__ = [
     "transfer_step",
     "koopman_step",
     "evolve_linear_analytic",
-    "density_to_csv",
-    "density_to_json",
 ]
 
 
@@ -262,20 +259,3 @@ def evolve_linear_analytic(b: float, r: float, n: int, theta: float = 0.0):
     log_overlaps = -0.5 * k * np.log(r)
     return series_from_log_overlaps(k, log_overlaps, theta=theta)
 
-
-def density_to_csv(rho: GridDensity, path):
-    """Write `cell_index,value` rows (row-major for 2D grids), 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write("cell_index,value\n")
-        for i, v in enumerate(rho.values.ravel()):
-            fh.write(f"{i},{v:.17g}\n")
-
-
-def density_to_json(rho: GridDensity) -> str:
-    """JSON document with the geometry descriptor and the raw cell values."""
-    geom = rho.geometry
-    if isinstance(geom, GridBasis1D):
-        desc = {"kind": "grid-1d", "n": geom.n, "x_lo": geom.x_lo, "x_hi": geom.x_hi}
-    else:
-        desc = {"kind": "grid-2d", "nx": geom.nx, "ny": geom.ny}
-    return json.dumps({"geometry": desc, "values": rho.values.ravel().tolist()})

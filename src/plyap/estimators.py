@@ -7,8 +7,12 @@ the one at t + dt (one grid step by default), so the exponent at time t is
 
 with L the divergence of the distance to the fixed reference.  All
 arithmetic runs on ln L to survive divergences spanning hundreds of orders
-of magnitude.  Regression mode fits ln|dL| against t, which drops the O(1/t)
-bias the pointwise form inherits from its denominator.
+of magnitude.  The asymptotic exponent is the slope of a least-squares fit
+of ln|dL| against t, which drops the O(1/t) bias the finite-time curve
+inherits from its denominator.  One function, asymptotic_estimate, decides
+the fit window: explicit bounds, an automatic start after the initial
+transient, an open end half a step before the detected plateau, and
+widening of a short automatic window to four points.
 """
 
 import csv
@@ -101,7 +105,10 @@ def finite_time_p_lyapunov(div: DivergenceSeries, delta_index: int = 1) -> np.nd
         DegeneratePathError: the initial increment vanishes (stationary path).
         InsufficientDataError: fewer than two usable stencil points.
     """
-    t, lnd, valid = _log_increments(div, delta_index)
+    return _finite_time_curve(*_log_increments(div, delta_index))
+
+
+def _finite_time_curve(t, lnd, valid):
     idx = np.where(valid)[0]
     if idx.size < 2:
         raise InsufficientDataError("fewer than two unsaturated stencil points")
@@ -117,19 +124,19 @@ def finite_time_p_lyapunov(div: DivergenceSeries, delta_index: int = 1) -> np.nd
     return np.column_stack([t[later], lam])
 
 
-def _auto_window(t, lnd, valid, rise=2.0):
+def _auto_window(t, lnd, valid):
     """Default fit window: skip the initial transient, keep the growth tail.
 
-    Starts where ln|dL| has risen `rise` nats above its initial value (or
-    half the total observed rise when the series saturates earlier than
-    that) and ends at the last unsaturated stencil point.
+    Starts where ln|dL| has risen 2 nats above its initial value (or half
+    the total observed rise when the series saturates earlier than that) and
+    ends at the last unsaturated stencil point.
     """
     finite = valid & np.isfinite(lnd)
     idx = np.where(finite)[0]
     if idx.size == 0:
         return None
     base = lnd[idx[0]]
-    threshold = min(rise, max(0.0, (float(np.max(lnd[idx])) - base) / 2.0))
+    threshold = min(2.0, max(0.0, (float(np.max(lnd[idx])) - base) / 2.0))
     above = idx[lnd[idx] > base + threshold]
     start = above[0] if above.size else idx[0]
     stop = np.where(valid)[0][-1]
@@ -138,57 +145,42 @@ def _auto_window(t, lnd, valid, rise=2.0):
 
 def asymptotic_estimate(
     div: DivergenceSeries,
-    mode: str = "regression",
     window=None,
     delta_index: int = 1,
     saturation_time=None,
 ) -> ExponentEstimate:
-    """Windowed asymptotic exponent from a divergence series.
+    """Windowed asymptotic exponent: the least-squares slope of ln|dL| = a + lambda * t.
 
-    regression mode (default) fits ln|dL| = a + lambda * t by least squares;
-    pointwise mode averages the last quartile of the finite-time curve.
-    window is (t1, t2); either bound may be None.  With no window the fit
-    runs from the point where ln|dL| has risen 2 nats above its initial
-    value to the last unsaturated point.  A caller-supplied window must
-    contain at least 4 usable points.
+    window is (t1, t2); either bound may be None.  An open end stops half a
+    sample step before saturation_time when that is given, so the fit stays
+    strictly before the plateau.  A bound still open is taken from the auto
+    window: it starts where ln|dL| has risen 2 nats above its initial value
+    and ends at the last unsaturated point.  A window that used an auto bound
+    and holds fewer than 4 usable points is widened backward to four; any
+    other window must hold at least 4.
 
     Raises:
         SaturationError: every stencil point is saturated (carries the
             saturation time when known).
         DegeneratePathError / InsufficientDataError: via the curve.
     """
-    if mode not in ("regression", "pointwise"):
-        raise DomainError(f"unknown estimation mode {mode!r}")
     t, lnd, valid = _log_increments(div, delta_index)
     if not valid.any():
         raise SaturationError(
             "all stencil points are saturated", saturation_time=saturation_time
         )
-    curve = finite_time_p_lyapunov(div, delta_index=delta_index)
+    curve = _finite_time_curve(t, lnd, valid)
 
-    if mode == "pointwise":
-        if not curve.size:
-            raise InsufficientDataError("no finite points on the finite-time curve")
-        k = max(1, curve.shape[0] // 4)
-        tail = curve[-k:]
-        value = float(np.mean(tail[:, 1]))
-        residual = float(np.sqrt(np.mean((tail[:, 1] - value) ** 2)))
-        return ExponentEstimate(
-            finite_time_curve=curve,
-            asymptotic_value=value,
-            fit_window=(float(tail[0, 0]), float(tail[-1, 0])),
-            method="pointwise",
-            residual=residual,
-            saturation_time=saturation_time,
-        )
-
-    explicit = window is not None and None not in window
+    t1, t2 = window or (None, None)
+    if t2 is None and saturation_time is not None:
+        t2 = saturation_time - 0.5 * float(np.min(np.diff(div.times)))
+    explicit = t1 is not None and t2 is not None
     if not explicit:
         auto = _auto_window(t, lnd, valid)
         if auto is None:
             raise InsufficientDataError("no finite increments to fit")
-        window = tuple(a if w is None else w for w, a in zip(window or (None, None), auto))
-    t1, t2 = window
+        t1 = auto[0] if t1 is None else t1
+        t2 = auto[1] if t2 is None else t2
     sel = valid & np.isfinite(lnd) & (t >= t1) & (t <= t2)
     npts = int(sel.sum())
     if explicit and npts < 4:
@@ -214,34 +206,27 @@ def asymptotic_estimate(
         finite_time_curve=curve,
         asymptotic_value=float(coef[1]),
         fit_window=(float(t1), float(t2)),
-        method="regression",
         residual=residual,
         saturation_time=saturation_time,
     )
 
 
-def detect_saturation(dist: DistanceSeries, plateau_value=None, min_hold: int = 3):
+def detect_saturation(dist: DistanceSeries):
     """First time after which the distance stays within theta of its plateau.
 
-    The plateau level defaults to the median of the trailing quarter of the
-    series (at least min_hold points), so a fluctuating quantum plateau is
-    located robustly.  Returns None when no plateau is held for at least
-    min_hold samples.
+    The plateau level is the median of the trailing quarter of the series (at
+    least 3 points), so a fluctuating quantum plateau is located robustly.
+    Returns None when no plateau is held for at least 3 samples.
     """
     v = dist.values
     n = v.size
-    theta = dist.saturation_threshold
-    if plateau_value is None:
-        k = max(min_hold, n // 4)
-        plateau = float(np.median(v[-k:]))
-    else:
-        plateau = float(plateau_value)
-    within = np.abs(v - plateau) <= theta
+    plateau = float(np.median(v[-max(3, n // 4):]))
+    within = np.abs(v - plateau) <= dist.saturation_threshold
     if not within[-1]:
         return None
     misses = np.where(~within)[0]
     first = int(misses[-1]) + 1 if misses.size else 0
-    if n - first < min_hold:
+    if n - first < 3:
         return None
     return float(dist.times[first])
 
@@ -293,16 +278,15 @@ def trajectory_lyapunov(
     x0,
     epsilon: float = 1e-9,
     steps: int = 400,
-    renormalize_every: int = 1,
     method: str = "direct",
 ) -> float:
     """Two-trajectory exponent of a built-in classical map.
 
     Tracks a companion point offset by epsilon, renormalizing the separation
-    back to epsilon every renormalize_every steps and accumulating the log
-    stretch.  method "direct" uses the Euclidean separation; "divergence"
-    pushes each separation through the bounded metric and its divergence
-    (an algebraic identity makes the two agree to rounding).
+    back to epsilon after every step and accumulating the log stretch.
+    method "direct" uses the Euclidean separation; "divergence" pushes each
+    separation through the bounded metric and its divergence (an algebraic
+    identity makes the two agree to rounding).
     """
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
@@ -333,21 +317,20 @@ def trajectory_lyapunov(
         return np.log(lam_d / lam_e)
 
     total = 0.0
-    for k in range(1, steps + 1):
+    for _ in range(steps):
         x = apply_map(map_descriptor, x)
         y = apply_map(map_descriptor, y)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise NumericalOverflowError("trajectory left double-precision range")
-        if k % renormalize_every == 0 or k == steps:
-            delta = separation(x, y)
-            d = float(np.linalg.norm(delta))
-            if d == 0.0:
-                raise DegeneratePathError("trajectories coincide; cannot renormalize")
-            total += log_stretch(d)
-            delta *= epsilon / d
-            if kind == "linear":
-                # the stretch of x -> r x is position-independent, so the base
-                # may be rescaled (homogeneity) to keep x + epsilon representable
-                x = x / float(np.max(np.abs(x)))
-            y = x + delta
+        delta = separation(x, y)
+        d = float(np.linalg.norm(delta))
+        if d == 0.0:
+            raise DegeneratePathError("trajectories coincide; cannot renormalize")
+        total += log_stretch(d)
+        delta *= epsilon / d
+        if kind == "linear":
+            # the stretch of x -> r x is position-independent, so the base
+            # may be rescaled (homogeneity) to keep x + epsilon representable
+            x = x / float(np.max(np.abs(x)))
+        y = x + delta
     return total / steps

@@ -147,7 +147,7 @@ _SYSTEMS = {
     "linear": (
         {"r": 2.0, "b": 1.0},
         lambda cfg, p: evolve_linear_analytic(p["b"], p["r"], cfg.steps, theta=cfg.theta),
-        {},
+        {"dt": ("1 (the series samples every map step)", lambda v: v == 1)},
     ),
     "r_adic": (
         {"r": 2, "grid_n": 2**16, "init_width": 2.0**-10},
@@ -174,8 +174,8 @@ _SYSTEMS = {
 _POSITIVE = ("> 0", lambda v: _number(v) and v > 0.0)
 _COUNT = ("an integer >= 1", lambda v: _number(v, int) and v >= 1)
 _UNIT = ("in [0, 1)", lambda v: _number(v) and 0.0 <= v < 1.0)
-_NAME = ("a filesystem-safe name",
-         lambda v: isinstance(v, str) and v != "" and not any(c in v for c in "/\\ \t\n"))
+_NAME = ("a filesystem-safe name", lambda v: isinstance(v, str) and v not in ("", ".", "..")
+         and not any(c in v for c in "/\\ \t\n"))
 _EVEN = ("an even integer >= 2", lambda v: _number(v, int) and v % 2 == 0 and v >= 2)
 _ANGLE = ("in [0, pi/2)", lambda v: _number(v) and 0.0 <= v < np.pi / 2)
 
@@ -206,7 +206,6 @@ class ExperimentConfig:
     path: str | None = _field(("a file path", lambda v: isinstance(v, str) and v != ""), None)
     convention: str = _field(_one_of("amplitude", "probability"), "amplitude")
     # estimator settings
-    mode: str = _field(_one_of("regression", "pointwise"), "regression")
     theta: float = _field(_ANGLE, DEFAULT_THETA)
     delta_index: int = _field(_COUNT, 1)
     window: tuple | None = _field(("[t1, t2] of numbers or nulls with t1 < t2", _window), None)
@@ -290,20 +289,14 @@ def _params(cfg: ExperimentConfig):
 
 
 def _estimate_and_classify(cfg: ExperimentConfig, dist, div):
-    """Shared estimator pipeline: plateau detection, windowing, classification."""
+    """Shared estimator pipeline: plateau detection, fit, classification."""
     t_b = detect_saturation(dist)
-    start, end = cfg.window or (None, None)
-    if end is None and t_b is not None:
-        # keep the fit strictly before the plateau
-        half_step = 0.5 * float(np.min(np.diff(dist.times)))
-        end = t_b - half_step
-
     curve = None
     estimate = None
     detail = None
     try:
         estimate = asymptotic_estimate(
-            div, mode=cfg.mode, window=(start, end), delta_index=cfg.delta_index, saturation_time=t_b
+            div, window=cfg.window, delta_index=cfg.delta_index, saturation_time=t_b
         )
         curve = estimate.finite_time_curve
         lam = estimate.asymptotic_value
@@ -534,12 +527,15 @@ def figure(fig_id: str, out_dir) -> list:
 
 
 def ingest(path, convention: str = "amplitude", out_dir=None, **estimator_kwargs) -> ExperimentResult:
-    """Full estimator pipeline on an external overlap CSV."""
+    """Full estimator pipeline on an external overlap CSV.
+
+    estimator_kwargs are further config fields (theta, window, ...); an
+    unknown one raises ConfigError naming it."""
     stem = Path(path).stem or "ingest"
-    cfg = ExperimentConfig(
-        id=f"ingest-{stem}", system="overlap_file", path=str(path),
-        convention=convention, **estimator_kwargs,
-    )
+    cfg = ExperimentConfig.from_dict({
+        "id": f"ingest-{stem}", "system": "overlap_file", "path": str(path),
+        "convention": convention, **estimator_kwargs,
+    })
     return run(cfg, out_dir=out_dir)
 
 

@@ -131,14 +131,12 @@ class ExponentEstimate:
     """Finite-time exponent curve plus a windowed asymptotic value.
 
     finite_time_curve has shape (k, 2): columns (t, lambda_t).  fit_window is
-    the (t1, t2) actually used; residual is the RMS of the fit (regression)
-    or of the averaged tail (pointwise).
+    the (t1, t2) actually used; residual is the RMS of the fit.
     """
 
     finite_time_curve: np.ndarray
     asymptotic_value: float
     fit_window: tuple
-    method: str
     residual: float
     saturation_time: float | None = None
 

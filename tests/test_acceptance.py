@@ -46,7 +46,7 @@ def test_criterion_1_linear_map_exponents():
     for r in (2, 3, 5):
         t0 = time.perf_counter()
         _, div = evolve_linear_analytic(1.0, float(r), 40)
-        est = asymptotic_estimate(div, mode="regression", window=(10.0, 39.0))
+        est = asymptotic_estimate(div, window=(10.0, 39.0))
         elapsed = time.perf_counter() - t0
         assert est.asymptotic_value == pytest.approx(LN(r) / 2, rel=0.01)
         assert elapsed < 1.0

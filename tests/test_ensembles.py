@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -12,8 +10,6 @@ from plyap import (
     MapDescriptor,
     apply_map,
     baker_map,
-    density_to_csv,
-    density_to_json,
     evolve_linear_analytic,
     koopman_step,
     linear_map,
@@ -320,21 +316,3 @@ class TestKoopmanIsometry:
         after = hilbert_distance(koopman_step(a, baker_map()), koopman_step(b, baker_map()))
         assert abs(after / before - 1.0) < 1e-3
 
-
-class TestExports:
-    def test_csv_export(self, tmp_path):
-        grid = GridBasis1D(4, 0.0, 1.0)
-        rho = square_density(0.5, grid)
-        path = tmp_path / "rho.csv"
-        density_to_csv(rho, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "cell_index,value"
-        assert len(lines) == 5
-        assert lines[1].startswith("0,2")
-
-    def test_json_export(self):
-        grid = GridBasis1D(4, 0.0, 1.0)
-        rho = square_density(0.5, grid)
-        doc = json.loads(density_to_json(rho))
-        assert doc["geometry"]["kind"] == "grid-1d"
-        assert doc["values"] == [2.0, 2.0, 0.0, 0.0]

@@ -129,7 +129,6 @@ class TestAsymptoticEstimate:
         _, div = evolve_linear_analytic(1.0, float(r), 40)
         est = asymptotic_estimate(div, window=(10.0, 39.0))
         assert est.asymptotic_value == pytest.approx(np.log(r) / 2, rel=0.01)
-        assert est.method == "regression"
 
     @pytest.mark.parametrize("r", [2, 3, 5])
     def test_error_decreases_with_window_start(self, r):
@@ -145,14 +144,6 @@ class TestAsymptoticEstimate:
         dist, div = series_from_log_overlaps(t, np.full(10, -0.3))
         with pytest.raises(DegeneratePathError):
             asymptotic_estimate(div)
-
-    def test_pointwise_mode_mean_of_last_quartile(self):
-        _, div = evolve_linear_analytic(1.0, 2.0, 40)
-        est = asymptotic_estimate(div, mode="pointwise")
-        curve = finite_time_p_lyapunov(div)
-        k = max(1, curve.shape[0] // 4)
-        assert est.asymptotic_value == pytest.approx(float(np.mean(curve[-k:, 1])))
-        assert est.method == "pointwise"
 
     def test_scale_invariance_of_regression(self):
         _, div = evolve_linear_analytic(1.0, 3.0, 30)
@@ -189,6 +180,21 @@ class TestAsymptoticEstimate:
         assert est.asymptotic_value == pytest.approx(lam, rel=0.02)
         assert est.fit_window[1] <= t[19]
 
+    @pytest.mark.parametrize("start", [None, 2.0])
+    def test_open_end_stops_half_a_step_before_the_plateau(self, start):
+        # theta = 0 flags nothing saturated, so only saturation_time can end the fit early
+        t = np.arange(0.0, 10.0, 0.5)
+        _, div = series_from_log_overlaps(t, -0.3 * t, theta=0.0)
+        open_end = asymptotic_estimate(div, window=(start, None))
+        assert open_end.fit_window[1] == t[-2]
+        est = asymptotic_estimate(div, window=(start, None), saturation_time=6.0)
+        assert est.fit_window[1] == 5.75
+        assert est.saturation_time == 6.0
+        closed = asymptotic_estimate(div, window=(est.fit_window[0], 5.75))
+        assert est.asymptotic_value == closed.asymptotic_value
+        # an explicit end is kept as given
+        assert asymptotic_estimate(div, window=(1.0, 8.0), saturation_time=6.0).fit_window == (1.0, 8.0)
+
     def test_explicit_window_needs_four_points(self):
         _, div = evolve_linear_analytic(1.0, 2.0, 40)
         with pytest.raises(InsufficientDataError):
@@ -202,14 +208,6 @@ class TestAsymptoticEstimate:
         _, div = ingest_overlap_series(raw, theta=0.0)
         with pytest.raises(InsufficientDataError):
             asymptotic_estimate(div, window=window)
-
-    def test_pointwise_needs_a_finite_curve_point(self):
-        # the path jumps once and then stands still (an r-adic density on two
-        # cells): every later increment vanishes, so the curve has no points
-        _, div = series_from_log_overlaps(np.arange(4.0), np.array([0.0, -1.0, -1.0, -1.0]), theta=0.0)
-        assert finite_time_p_lyapunov(div).size == 0
-        with pytest.raises(InsufficientDataError):
-            asymptotic_estimate(div, mode="pointwise")
 
     def test_all_saturated_raises(self):
         t = np.arange(6.0)
@@ -234,12 +232,6 @@ class TestDetectSaturation:
         vals = np.concatenate([np.linspace(0.0, 2.8, 6), np.full(6, np.pi - 0.01)])
         d = DistanceSeries(t, vals, 0.05)
         assert detect_saturation(d) == 6.0
-
-    def test_plateau_value_override(self):
-        t = np.arange(8.0)
-        vals = np.array([0.1, 0.5, 1.0, 1.49, 1.5, 1.51, 1.5, 1.5])
-        d = DistanceSeries(t, vals, 0.05)
-        assert detect_saturation(d, plateau_value=1.5) == 3.0
 
 
 class TestIngestion:

@@ -46,8 +46,10 @@ class TestConfig:
         assert err.value.field == "system"
 
     def test_unsafe_id_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(id="a/b", system="linear")
+        for unsafe in ("a/b", ".", ".."):
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig(id=unsafe, system="linear")
+            assert err.value.field == "id"
 
     def test_map_systems_need_integer_dt(self):
         with pytest.raises(ConfigError) as err:
@@ -118,6 +120,11 @@ class TestRun:
         assert res.classification == "unstable"
         assert res.summary["lambda"] == pytest.approx(LN2_HALF, rel=0.10)
         assert res.saturation_time is not None
+
+    def test_r_adic_default_window_ends_before_the_plateau(self):
+        res = run(ExperimentConfig(id="radic", system="r_adic"))
+        assert res.summary["saturation_time"] == 9.0
+        assert res.summary["fit_window"] == [5.0, 8.5]
 
     def test_baker_classical_exact_overlap_series(self):
         # area-preserving and invertible: no pushforward dilution, so the
@@ -199,6 +206,14 @@ class TestRun:
         p.write_text("t,overlap\n" + "\n".join(f"{k},0.8" for k in range(20)) + "\n")
         res = ingest(p, out_dir=tmp_path)
         assert res.classification == "stable"
+
+    @pytest.mark.parametrize("setting", [{"foo": 1}, {"mode": "pointwise"}])
+    def test_ingest_unknown_setting_named(self, tmp_path, setting):
+        p = tmp_path / "const.csv"
+        p.write_text("t,overlap\n" + "\n".join(f"{k},0.8" for k in range(20)) + "\n")
+        with pytest.raises(ConfigError) as err:
+            ingest(p, **setting)
+        assert err.value.field == next(iter(setting))
 
 
 class TestFigures:
@@ -314,6 +329,10 @@ _OUT_OF_DOMAIN = [
     ({"id": "x", "system": "linear", "steps": 2.5}, "steps"),
     ({"id": "x", "system": "linear", "steps": True}, "steps"),
     ({"id": "x", "system": "linear", "window": [30, 5]}, "window"),
+    ({"id": "x", "system": "linear", "steps": 4, "dt": 0.5}, "dt"),
+    ({"id": "x", "system": "linear", "steps": 4, "dt": 2}, "dt"),
+    ({"id": ".", "system": "linear"}, "id"),
+    ({"id": "..", "system": "linear"}, "id"),
 ]
 
 _JUNK = st.one_of(
@@ -351,17 +370,16 @@ _CONFIGS = st.fixed_dictionaries(
         "alpha": st.floats(1e-3, 1.0),
         "path": st.sampled_from(["series.csv", "missing.csv", "."]),
         "convention": st.sampled_from(["amplitude", "probability"]),
-        "mode": st.sampled_from(["regression", "pointwise"]),
         "theta": st.floats(0.0, 1.5),
         "delta_index": st.integers(1, 4),
         "window": st.lists(st.one_of(st.none(), st.floats(-5.0, 20.0)), min_size=2, max_size=2),
         "stable_threshold": st.floats(0.0, 1.0),
     },
 )
-# at most one field (or an unknown one) replaced by a value of any JSON type
+# at most one field (or a removed one, now unknown) replaced by a value of any JSON type
 _MUTATIONS = st.one_of(
     st.none(),
-    st.tuples(st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__) + ["seed"]), _JUNK),
+    st.tuples(st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__) + ["seed", "mode"]), _JUNK),
 )
 
 
