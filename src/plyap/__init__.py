@@ -23,7 +23,6 @@ from .geometry import (
     ProjectiveState,
     bounded_euclidean_distance,
     classical_divergence,
-    euclidean_phase_distance,
     fubini_study_distance,
     hilbert_distance,
     log_projective_divergence,
@@ -69,7 +68,6 @@ from .quantum import (
     bvs_transform,
     gaussian_autocorrelation,
     gaussian_on_grid,
-    log_barrier_overlap_paper,
     plan_split_grid,
     split_operator_propagate,
 )

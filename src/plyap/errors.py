@@ -28,10 +28,6 @@ class DomainError(PlyapError, ValueError):
 class SaturationError(PlyapError):
     """Every usable point sits on the bounded-metric plateau."""
 
-    def __init__(self, message, saturation_time=None):
-        super().__init__(message)
-        self.saturation_time = saturation_time
-
 
 class InsufficientDataError(PlyapError):
     """Too few usable points for the requested estimate."""

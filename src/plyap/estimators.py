@@ -160,15 +160,12 @@ def asymptotic_estimate(
     other window must hold at least 4.
 
     Raises:
-        SaturationError: every stencil point is saturated (carries the
-            saturation time when known).
+        SaturationError: every stencil point is saturated.
         DegeneratePathError / InsufficientDataError: via the curve.
     """
     t, lnd, valid = _log_increments(div, delta_index)
     if not valid.any():
-        raise SaturationError(
-            "all stencil points are saturated", saturation_time=saturation_time
-        )
+        raise SaturationError("all stencil points are saturated")
     curve = _finite_time_curve(t, lnd, valid)
 
     t1, t2 = window or (None, None)
@@ -207,7 +204,6 @@ def asymptotic_estimate(
         asymptotic_value=float(coef[1]),
         fit_window=(float(t1), float(t2)),
         residual=residual,
-        saturation_time=saturation_time,
     )
 
 

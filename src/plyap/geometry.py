@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     BasisMismatchError,
-    ContractViolationError,
     DomainError,
     InvalidStateError,
     SaturationError,
@@ -36,7 +35,6 @@ __all__ = [
     "classical_divergence",
     "log_projective_divergence",
     "log_abs_exp_diff",
-    "euclidean_phase_distance",
     "hilbert_distance",
 ]
 
@@ -236,17 +234,6 @@ def log_abs_exp_diff(a, b):
         out = np.where(np.isneginf(b), a, out)
         out = np.where(np.isneginf(a) & np.isneginf(b), -np.inf, out)
     return float(out) if out.ndim == 0 else out
-
-
-def euclidean_phase_distance(x, y) -> float:
-    """Euclidean norm of the difference of two phase-space points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise ContractViolationError(
-            f"phase points of different dimension: {x.shape} vs {y.shape}"
-        )
-    return float(np.linalg.norm(x - y))
 
 
 def hilbert_distance(a: ProjectiveState, b: ProjectiveState) -> float:

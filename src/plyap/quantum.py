@@ -19,7 +19,6 @@ __all__ = [
     "GaussianState",
     "gaussian_autocorrelation",
     "barrier_overlap_paper",
-    "log_barrier_overlap_paper",
     "plan_split_grid",
     "gaussian_on_grid",
     "split_operator_propagate",
@@ -31,37 +30,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadraticSystem:
-    """Quadratic Hamiltonian p^2/2m + sign * m omega^2 x^2 / 2.
+    """Quadratic Hamiltonian p^2/2 + sign * omega^2 x^2 / 2, in units m = hbar = 1.
 
     sign = +1 is the harmonic oscillator, -1 the parabolic barrier (the
-    inverted potential, classical stretching rate omega).  Natural units
-    m = hbar = 1 by default.
+    inverted potential, classical stretching rate omega).
     """
 
     omega: float
     sign: int = 1
-    mass: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         if not self.omega > 0.0:
             raise DomainError("omega must be positive")
         if self.sign not in (+1, -1):
             raise DomainError("sign must be +1 (oscillator) or -1 (barrier)")
-        if self.mass <= 0.0 or self.hbar <= 0.0:
-            raise DomainError("mass and hbar must be positive")
 
     def potential(self, x):
-        return 0.5 * self.sign * self.mass * self.omega**2 * np.asarray(x) ** 2
+        return 0.5 * self.sign * self.omega**2 * np.asarray(x) ** 2
 
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Gaussian wavefunction exp(-m omega0 (x-q0)^2 / 2 hbar + i p0 x / hbar)."""
+    """Centered Gaussian wavefunction exp(-omega0 x^2 / 2), in units m = hbar = 1."""
 
     omega0: float
-    q0: float = 0.0
-    p0: float = 0.0
 
     def __post_init__(self):
         if not self.omega0 > 0.0:
@@ -91,7 +83,7 @@ def _width_param(sys: QuadraticSystem, omega0: float, t) -> np.ndarray:
 
 
 def gaussian_autocorrelation(sys: QuadraticSystem, g: GaussianState, t):
-    """|<psi(0)|psi(t)>| for a centered Gaussian under the quadratic flow.
+    """|<psi(0)|psi(t)>| for the Gaussian under the quadratic flow.
 
     Closed form from the width evolution: with a0 = omega0 and a = a(t),
 
@@ -99,11 +91,8 @@ def gaussian_autocorrelation(sys: QuadraticSystem, g: GaussianState, t):
 
     Periodic with period pi/omega for the oscillator (identically 1 when
     omega0 = omega, the stationary ray); decays like exp(-omega t / 2) for
-    the barrier.  Centered states only; off-center states go through the
-    split-operator oracle.
+    the barrier.
     """
-    if g.q0 != 0.0 or g.p0 != 0.0:
-        raise DomainError("closed form requires a centered state (q0 = p0 = 0)")
     a = _width_param(sys, g.omega0, t)
     out = np.sqrt(2.0 * np.sqrt(g.omega0 * a.real) / np.abs(g.omega0 + a))
     return float(out) if out.ndim == 0 else out
@@ -127,48 +116,28 @@ def barrier_overlap_paper(omega0: float, omega: float, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_cosh(x):
-    x = np.abs(x)
-    return x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
-
-
-def log_barrier_overlap_paper(omega0: float, omega: float, t):
-    """ln of barrier_overlap_paper, stable for large omega*t."""
-    if omega0 <= 0.0 or omega <= 0.0:
-        raise DomainError("frequencies must be positive")
-    t = np.asarray(t, dtype=float)
-    chi = omega / omega0 - omega0 / omega
-    wt = omega * t
-    out = -0.25 * (2.0 * _log_cosh(wt) + np.log1p((chi * np.tanh(wt)) ** 2))
-    return float(out) if out.ndim == 0 else out
-
-
-def plan_split_grid(
-    sys: QuadraticSystem, g: GaussianState, duration: float, pad: float = 8.0
-) -> GridBasis1D:
+def plan_split_grid(sys: QuadraticSystem, g: GaussianState, duration: float) -> GridBasis1D:
     """Size a grid that holds the state over the run.
 
     Barrier evolutions spread exponentially in both position and momentum,
     so the box and the cell size both come from the analytic width at the
-    final time, padded by `pad` standard deviations.
+    final time, padded by 8 standard deviations.
     """
     ts = np.linspace(0.0, max(duration, 1e-12), 17)
     a = _width_param(sys, g.omega0, ts)
-    m, hb = sys.mass, sys.hbar
-    sx = np.sqrt(hb / (2.0 * m * a.real))
-    sp = np.sqrt(m * hb / 2.0) * np.abs(a) / np.sqrt(a.real)
-    half_width = abs(g.q0) + pad * float(np.max(sx))
-    p_max = abs(g.p0) + pad * float(np.max(sp))
-    dx = np.pi * hb / (1.25 * p_max)
+    sx = np.sqrt(1.0 / (2.0 * a.real))
+    sp = np.sqrt(0.5) * np.abs(a) / np.sqrt(a.real)
+    half_width = 8.0 * float(np.max(sx))
+    p_max = 8.0 * float(np.max(sp))
+    dx = np.pi / (1.25 * p_max)
     n = 1 << int(np.ceil(np.log2(max(2.0 * half_width / dx, 64.0))))
     return GridBasis1D(n, -half_width, half_width)
 
 
-def gaussian_on_grid(g: GaussianState, grid: GridBasis1D, mass=1.0, hbar=1.0) -> ProjectiveState:
+def gaussian_on_grid(g: GaussianState, grid: GridBasis1D) -> ProjectiveState:
     """Sample the Gaussian wavefunction on the grid centers."""
     x = grid.centers()
-    amp = np.exp(-0.5 * mass * g.omega0 * (x - g.q0) ** 2 / hbar + 1j * g.p0 * x / hbar)
-    return ProjectiveState(amp, grid)
+    return ProjectiveState(np.exp(-0.5 * g.omega0 * x**2), grid)
 
 
 def split_operator_propagate(
@@ -192,8 +161,8 @@ def split_operator_propagate(
         raise DomainError("dt * omega must not exceed 0.01")
     x = grid.centers()
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.cell_width)
-    half_v = np.exp(-0.5j * dt * sys.potential(x) / sys.hbar)
-    kinetic = np.exp(-0.5j * dt * sys.hbar * k * k / sys.mass)
+    half_v = np.exp(-0.5j * dt * sys.potential(x))
+    kinetic = np.exp(-0.5j * dt * k * k)
     amp = psi.amplitudes.copy()
     for _ in range(steps):
         amp *= half_v

@@ -7,7 +7,6 @@ file embeds the config hash.
 
 import datetime
 import hashlib
-import itertools
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -63,17 +62,18 @@ def _map_system(start):
     Samples lie dt map steps apart; the generator keeps one state alive."""
 
     def series(cfg, p):
-        def path(state, step, embed):
-            yield embed(state)
+        state, step, embed = start(p)
+        ref = embed(state)
+
+        def path(state):
+            yield ref
             for _ in range(cfg.steps):
                 for _ in range(int(cfg.dt)):
                     state = step(state)
                 yield embed(state)
 
-        states = path(*start(p))
-        ref = next(states)
         times = np.arange(cfg.steps + 1) * cfg.dt
-        return divergence_series(times, itertools.chain([ref], states), ref, theta=cfg.theta)
+        return divergence_series(times, path(state), ref, theta=cfg.theta)
 
     return series
 
@@ -246,7 +246,7 @@ class ExperimentResult:
     config: ExperimentConfig
     distance: object
     divergence: object
-    curve: np.ndarray | None
+    curve: np.ndarray
     estimate: object | None
     classification: str
     saturation_time: float | None
@@ -291,7 +291,7 @@ def _params(cfg: ExperimentConfig):
 def _estimate_and_classify(cfg: ExperimentConfig, dist, div):
     """Shared estimator pipeline: plateau detection, fit, classification."""
     t_b = detect_saturation(dist)
-    curve = None
+    curve = np.empty((0, 2))
     estimate = None
     detail = None
     try:
@@ -361,14 +361,14 @@ _JSON_TYPES = {
 }
 
 
-def validate_summary(doc: dict, schema: dict = SUMMARY_SCHEMA):
-    """Structural validation of a summary document against the schema."""
+def validate_summary(doc: dict):
+    """Structural validation of a summary document against SUMMARY_SCHEMA."""
     if not isinstance(doc, dict):
         raise ConfigError("summary must be an object")
-    for key in schema.get("required", ()):
+    for key in SUMMARY_SCHEMA["required"]:
         if key not in doc:
             raise ConfigError(f"summary missing required field {key!r}", field=key)
-    for key, spec in schema.get("properties", {}).items():
+    for key, spec in SUMMARY_SCHEMA["properties"].items():
         if key not in doc:
             continue
         value = doc[key]
@@ -451,12 +451,11 @@ def _write_result(result: ExperimentResult, out_dir: Path) -> Path:
             for t, v, s in zip(div.times, div.log_values, div.saturated)
         ),
     )
-    curve = result.curve if result.curve is not None else np.empty((0, 2))
     _write_csv(
         exp_dir / "lambda_t.csv",
         h,
         "t,lambda_t",
-        ((_fmt(t), _fmt(v)) for t, v in curve),
+        ((_fmt(t), _fmt(v)) for t, v in result.curve),
     )
     with open(exp_dir / "summary.json", "w") as fh:
         json.dump(result.summary, fh, indent=2, sort_keys=True)
@@ -467,19 +466,22 @@ def _write_result(result: ExperimentResult, out_dir: Path) -> Path:
 _LN2_HALF = float(np.log(2.0) / 2.0)
 
 
-def _figure_presets(fig_id: str):
-    if fig_id == "fig1a":
-        configs = [
+# Each figure once: its configs, reference lines and x label; every figure plots
+# the finite-time exponent.
+_FIGURES = {
+    "fig1a": (
+        [
             ExperimentConfig(
                 id=f"fig1a-r{r}", system="linear", r=float(r), b=1.0,
                 steps=40, dt=1.0, theta=0.0, window=(10.0, None),
             )
             for r in (2, 3, 5)
-        ]
-        hlines = [(f"ln({r})/2", float(np.log(r) / 2.0)) for r in (2, 3, 5)]
-        return configs, hlines, "steps", "finite-time exponent"
-    if fig_id == "fig1b":
-        configs = [
+        ],
+        [(f"ln({r})/2", float(np.log(r) / 2.0)) for r in (2, 3, 5)],
+        "steps",
+    ),
+    "fig1b": (
+        [
             ExperimentConfig(
                 id="fig1b-oscillator-w2", system="oscillator", omega=2.0, omega0=1.0,
                 steps=1200, dt=0.05, theta=0.0,
@@ -492,36 +494,37 @@ def _figure_presets(fig_id: str):
                 id="fig1b-barrier-w5", system="barrier", omega=5.0, omega0=1.0,
                 steps=300, dt=0.02, theta=0.0,
             ),
-        ]
-        hlines = [("0", 0.0), ("1", 1.0), ("5/2", 2.5)]
-        return configs, hlines, "time", "finite-time exponent"
-    if fig_id == "fig2a":
-        configs = [
+        ],
+        [("0", 0.0), ("1", 1.0), ("5/2", 2.5)],
+        "time",
+    ),
+    "fig2a": (
+        [
             ExperimentConfig(
                 id="fig2a-bvs-n1800", system="bvs_baker", n_dim=1800,
                 q0=1.0 / 3.0, p0=2.0 / 3.0, alpha=1.0 / (2.0 * np.pi * 1800),
                 steps=12, dt=2.0, theta=0.1, window=(0.0, None),
             ),
-        ]
-        hlines = [("ln(2)/2", _LN2_HALF)]
-        return configs, hlines, "map steps", "finite-time exponent"
-    raise ConfigError(f"unknown figure id {fig_id!r}", field="figure")
-
-
-FIGURE_IDS = ("fig1a", "fig1b", "fig2a")
+        ],
+        [("ln(2)/2", _LN2_HALF)],
+        "map steps",
+    ),
+}
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def figure(fig_id: str, out_dir) -> list:
     """Run the preset bundle for a named figure and render its SVG."""
-    configs, hlines, xlabel, ylabel = _figure_presets(fig_id)
+    if fig_id not in _FIGURES:
+        raise ConfigError(f"unknown figure id {fig_id!r}", field="figure")
+    configs, hlines, xlabel = _FIGURES[fig_id]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = [run(cfg, out_dir=out_dir) for cfg in configs]
-    curves = []
-    for res in results:
-        curve = res.curve if res.curve is not None else np.empty((0, 2))
-        curves.append((res.config.id, curve[:, 0], curve[:, 1]))
-    svg = render_line_plot(curves, title=fig_id, xlabel=xlabel, ylabel=ylabel, hlines=hlines)
+    curves = [(res.config.id, res.curve[:, 0], res.curve[:, 1]) for res in results]
+    svg = render_line_plot(
+        curves, title=fig_id, xlabel=xlabel, ylabel="finite-time exponent", hlines=hlines
+    )
     (out_dir / f"{fig_id}.svg").write_text(svg)
     return results
 
@@ -539,7 +542,7 @@ def ingest(path, convention: str = "amplitude", out_dir=None, **estimator_kwargs
     return run(cfg, out_dir=out_dir)
 
 
-def selftest(verbose: bool = True) -> int:
+def selftest() -> int:
     """Run the built-in property battery; returns the number of failures."""
     from .geometry import (
         DiscreteBasis,
@@ -635,6 +638,5 @@ def selftest(verbose: bool = True) -> int:
         except PlyapError:
             ok = False
         failures += 0 if ok else 1
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}")
     return failures

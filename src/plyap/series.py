@@ -41,7 +41,7 @@ class DistanceSeries:
     times: np.ndarray
     values: np.ndarray
     saturation_threshold: float = DEFAULT_THETA
-    saturated: np.ndarray = field(default=None)
+    saturated: np.ndarray = field(init=False)
 
     def __post_init__(self):
         t = _as_times(self.times)
@@ -54,10 +54,7 @@ class DistanceSeries:
         if not 0.0 <= theta < np.pi / 2:
             raise DomainError("saturation threshold must lie in [0, pi/2)")
         v = np.clip(v, 0.0, np.pi)
-        if self.saturated is None:
-            sat = (v > np.pi - theta) if theta > 0.0 else np.zeros(t.shape, dtype=bool)
-        else:
-            sat = np.asarray(self.saturated, dtype=bool)
+        sat = (v > np.pi - theta) if theta > 0.0 else np.zeros(t.shape, dtype=bool)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "saturation_threshold", theta)
@@ -107,7 +104,17 @@ class OverlapSeries:
     convention: str = "amplitude"
 
     def __post_init__(self):
-        t = _as_times(self.times)
+        t = np.asarray(self.times, dtype=float)
+        if t.ndim == 1:
+            with np.errstate(invalid="ignore"):
+                bad = np.where(~(np.isfinite(t) & np.r_[True, np.diff(t) > 0.0]))[0]
+            if bad.size:
+                raise DataFormatError(
+                    f"time {float(t[bad[0]])} at row {int(bad[0])} is not finite"
+                    " or not greater than the time before it",
+                    row=int(bad[0]),
+                )
+        t = _as_times(t)
         ov = np.asarray(self.overlaps, dtype=float)
         if ov.shape != t.shape:
             raise DomainError("overlaps and times must have the same length")
@@ -138,7 +145,6 @@ class ExponentEstimate:
     asymptotic_value: float
     fit_window: tuple
     residual: float
-    saturation_time: float | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.asymptotic_value):
@@ -158,6 +164,5 @@ def series_from_log_overlaps(times, log_overlaps, theta=DEFAULT_THETA):
     v = np.exp(lv)
     d = 2.0 * np.arccos(np.clip(v, 0.0, 1.0))
     dist = DistanceSeries(t, d, saturation_threshold=theta)
-    log_div = np.where(np.isneginf(lv), np.inf, log_projective_divergence(lv))
-    div = DivergenceSeries(t, log_div, saturated=dist.saturated)
+    div = DivergenceSeries(t, log_projective_divergence(lv), saturated=dist.saturated)
     return dist, div

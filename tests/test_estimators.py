@@ -189,7 +189,6 @@ class TestAsymptoticEstimate:
         assert open_end.fit_window[1] == t[-2]
         est = asymptotic_estimate(div, window=(start, None), saturation_time=6.0)
         assert est.fit_window[1] == 5.75
-        assert est.saturation_time == 6.0
         closed = asymptotic_estimate(div, window=(est.fit_window[0], 5.75))
         assert est.asymptotic_value == closed.asymptotic_value
         # an explicit end is kept as given
@@ -218,7 +217,6 @@ class TestAsymptoticEstimate:
         from plyap import SaturationError
 
         assert isinstance(err.value, SaturationError)
-        assert err.value.saturation_time == 0.0
 
 
 class TestDetectSaturation:
@@ -289,6 +287,18 @@ class TestOverlapCsv:
         with pytest.raises(DataFormatError) as err:
             read_overlap_csv(p)
         assert err.value.row == 4
+
+    @pytest.mark.parametrize(
+        "time", ["1", "0.5", "nan", "inf"], ids=["repeated", "decreasing", "nan", "inf"]
+    )
+    def test_malformed_time_reports_line(self, tmp_path, time):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"t,overlap\n0,1.0\n1,0.5\n{time},0.25\n")
+        with pytest.raises(DataFormatError) as err:
+            read_overlap_csv(p)
+        assert err.value.row == 4
+        assert f"time {float(time)} at row 2" in str(err.value)
+        assert "(line 4)" in str(err.value)
 
 
 class TestTrajectoryExponent:

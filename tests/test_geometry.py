@@ -3,7 +3,6 @@ import pytest
 
 from plyap import (
     BasisMismatchError,
-    ContractViolationError,
     DiscreteBasis,
     DomainError,
     GridBasis1D,
@@ -13,7 +12,6 @@ from plyap import (
     SaturationError,
     bounded_euclidean_distance,
     classical_divergence,
-    euclidean_phase_distance,
     fubini_study_distance,
     hilbert_distance,
     log_projective_divergence,
@@ -195,26 +193,6 @@ class TestLogDivergence:
     def test_positive_log_overlap_rejected(self):
         with pytest.raises(DomainError):
             log_projective_divergence(0.5)
-
-
-class TestPhaseDistance:
-    def test_coincident(self):
-        assert euclidean_phase_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_three_four_five(self):
-        assert euclidean_phase_distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
-
-    def test_linear_map_scales_separation(self):
-        from plyap import apply_map, linear_map
-
-        eps = 1e-6
-        x = apply_map(linear_map(2.0), [1.0])
-        y = apply_map(linear_map(2.0), [1.0 + eps])
-        assert euclidean_phase_distance(x, y) == pytest.approx(2 * eps, rel=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolationError):
-            euclidean_phase_distance([1.0], [1.0, 2.0])
 
 
 class TestHilbertDistance:

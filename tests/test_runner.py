@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import tempfile
 import tracemalloc
@@ -112,6 +114,7 @@ class TestRun:
         assert res.classification == "stable"
         assert res.summary["lambda"] is None
         assert "stationary" in res.summary["detail"]
+        assert res.curve.shape == (0, 2)
 
     def test_r_adic_defaults_recorded(self):
         cfg = ExperimentConfig(id="radic", system="r_adic", steps=14, grid_n=2**12,
@@ -383,6 +386,36 @@ _MUTATIONS = st.one_of(
 )
 
 
+# cells an overlap CSV may hold: junk text, numbers, non-finite and extreme floats
+_CELLS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+    st.integers(-5, 50).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "1e-400", "1e400"]),
+)
+
+
+@st.composite
+def _overlap_csvs(draw):
+    """A decaying overlap series with at most three cells replaced."""
+    n = draw(st.integers(1, 24))
+    rate = draw(st.floats(0.0, 2.0))
+    rows = [[repr(float(k)), repr(math.exp(-rate * k))] for k in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, 1))] = draw(_CELLS)
+    return "t,overlap\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+def _parsed_times(path):
+    """The time column as read_overlap_csv parses it, or None if a row does not parse."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        return [float(row[0]) for row in rows if row and (len(row) > 1 or row[0].strip())]
+    except (OSError, UnicodeDecodeError, csv.Error, IndexError, ValueError):
+        return None
+
+
 def _with_examples(test):
     for cfg, _ in _OUT_OF_DOMAIN:
         test = example(cfg, None)(test)
@@ -417,3 +450,24 @@ class TestExitCodes:
             if data == cfg:
                 assert code == EXIT_CONFIG
                 assert f"config error: {field} " in err.getvalue()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @example("t,overlap\n0,1.0\n1,0.5\n1,0.25\n")
+    @example("t,overlap\n0,1.0\n1,0.5\n0.5,0.25\n")
+    @example("t,overlap\n0,1.0\n1,0.5\nnan,0.25\n")
+    @example("t,overlap\n0,1.0\n1,0.5\ninf,0.25\n")
+    @given(_overlap_csvs())
+    def test_every_overlap_csv_ends_with_a_documented_exit_code(self, text):
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            path = os.path.join(tmp, "series.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            times = _parsed_times(path)
+            bad_times = times is not None and not (
+                np.all(np.isfinite(times)) and np.all(np.diff(times) > 0.0))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["ingest", path, "--out", os.path.join(tmp, "out")])
+        assert code in (EXIT_OK, EXIT_DATA, EXIT_NUMERICAL)
+        if bad_times:
+            assert code == EXIT_DATA
