@@ -188,16 +188,21 @@ def _baker_kernel(f: np.ndarray) -> np.ndarray:
 
     Output cell (i, j) averages the input over its preimage rectangle:
     half an x-cell (where the input is constant anyway) by two stacked
-    y-cells.
+    y-cells.  Output rows 2k and 2k+1 share input row k (left half of y)
+    and row h + k (right half): the y-pair sums are written into the odd
+    rows, then halved into the even rows and in place.  A ufunc writing
+    one interleaved row view from the other makes no temporary copy (a
+    slice assignment would), so only the output is allocated.
     """
     n = f.shape[0]
-    half = n // 2
-    out = np.empty_like(f)
-    i = np.arange(n)
-    jlo = np.arange(half)
-    jhi = np.arange(half, n)
-    out[:, :half] = 0.5 * (f[i // 2][:, 2 * jlo] + f[i // 2][:, 2 * jlo + 1])
-    out[:, half:] = 0.5 * (f[(i + n) // 2][:, 2 * jhi - n] + f[(i + n) // 2][:, 2 * jhi - n + 1])
+    h = n // 2
+    out = np.empty(f.shape, dtype=f.dtype)
+    rows = out.reshape(h, 2, n)
+    odd = rows[:, 1]
+    np.add(f[:h, 0::2], f[:h, 1::2], out=odd[:, :h])
+    np.add(f[h:, 0::2], f[h:, 1::2], out=odd[:, h:])
+    np.multiply(odd, 0.5, out=rows[:, 0])
+    odd *= 0.5
     return out
 
 

@@ -208,23 +208,29 @@ def asymptotic_estimate(
 
 
 def detect_saturation(dist: DistanceSeries):
-    """First time after which the distance stays within theta of its plateau.
+    """Plateau time t_b: where the distance stops growing.
 
-    The plateau level is the median of the trailing quarter of the series (at
-    least 3 points), so a fluctuating quantum plateau is located robustly.
-    Returns None when no plateau is held for at least 3 samples.
+    The earlier of two events: the first sample flagged saturated
+    (d_P > pi - theta), and the first time after which the distance stays
+    within theta of its plateau.  The plateau level is the median of the
+    trailing quarter of the series (at least 3 points), so a fluctuating
+    quantum plateau is located robustly; it counts only when held for at
+    least 3 samples.  The first flagged sample matters when the distance
+    enters the theta band and leaves it again, as the overlap of a slab
+    under the grid baker does.  Returns None when neither event occurs.
     """
     v = dist.values
     n = v.size
+    flagged = np.flatnonzero(dist.saturated)
+    ends = [int(flagged[0])] if flagged.size else []
     plateau = float(np.median(v[-max(3, n // 4):]))
     within = np.abs(v - plateau) <= dist.saturation_threshold
-    if not within[-1]:
-        return None
-    misses = np.where(~within)[0]
-    first = int(misses[-1]) + 1 if misses.size else 0
-    if n - first < 3:
-        return None
-    return float(dist.times[first])
+    if within[-1]:
+        misses = np.where(~within)[0]
+        first = int(misses[-1]) + 1 if misses.size else 0
+        if n - first >= 3:
+            ends.append(first)
+    return float(dist.times[min(ends)]) if ends else None
 
 
 def ingest_overlap_series(raw: OverlapSeries, theta=DEFAULT_THETA):

@@ -95,9 +95,8 @@ def _koopman_start(p):
 
 
 def _bvs_start(p):
-    b_mat = bvs_baker(p["n_dim"])
     psi = bvs_coherent_state(p["n_dim"], p["q0"], p["p0"], p["alpha"])
-    return psi.amplitudes, lambda amp: b_mat @ amp, lambda amp: ProjectiveState(amp, psi.basis)
+    return psi.amplitudes, bvs_baker(p["n_dim"]), lambda amp: ProjectiveState(amp, psi.basis)
 
 
 def _gaussian_series(cfg, p, sign):
@@ -585,17 +584,17 @@ def selftest() -> int:
         return True
 
     def bvs_unitary():
-        b = bvs_baker(128)
+        b = bvs_baker(128)(np.eye(128))
         return float(np.max(np.abs(b.conj().T @ b - np.eye(128)))) < 1e-10
 
     def eq2_invariance():
-        b = bvs_baker(64)
+        step = bvs_baker(64)
         basis = DiscreteBasis(64)
         u = ProjectiveState(rng.standard_normal(64) + 1j * rng.standard_normal(64), basis)
         v = ProjectiveState(rng.standard_normal(64) + 1j * rng.standard_normal(64), basis)
         before = hilbert_distance(u, v)
         after = hilbert_distance(
-            ProjectiveState(b @ u.amplitudes, basis), ProjectiveState(b @ v.amplitudes, basis)
+            ProjectiveState(step(u.amplitudes), basis), ProjectiveState(step(v.amplitudes), basis)
         )
         return abs(after - before) < 1e-10
 

@@ -106,13 +106,19 @@ class OverlapSeries:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         if t.ndim == 1:
-            with np.errstate(invalid="ignore"):
+            with np.errstate(invalid="ignore", over="ignore"):
                 bad = np.where(~(np.isfinite(t) & np.r_[True, np.diff(t) > 0.0]))[0]
+                span = t[-1] - t[0] if t.size else 0.0
             if bad.size:
                 raise DataFormatError(
                     f"time {float(t[bad[0]])} at row {int(bad[0])} is not finite"
                     " or not greater than the time before it",
                     row=int(bad[0]),
+                )
+            if not np.isfinite(span):
+                raise DataFormatError(
+                    f"time span {float(t[0])} to {float(t[-1])} overflows a double",
+                    row=t.size - 1,
                 )
         t = _as_times(t)
         ov = np.asarray(self.overlaps, dtype=float)

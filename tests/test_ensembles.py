@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from plyap import (
     square_density,
     transfer_step,
 )
+from plyap.ensembles import _baker_kernel
 from plyap.geometry import ProjectiveState
 
 
@@ -240,6 +243,43 @@ class TestMixingLimit:
             cur = transfer_step(cur, r_adic_map(2))
         ov = overlap_magnitude(sqrt_embed(cur), ref)
         assert ov == pytest.approx(np.sqrt(w), abs=1e-3)
+
+
+def gather_baker_kernel(f):
+    """The baker pushforward by explicit preimage gathers, kept as the oracle."""
+    n = f.shape[0]
+    half = n // 2
+    out = np.empty_like(f)
+    i = np.arange(n)
+    jlo = np.arange(half)
+    jhi = np.arange(half, n)
+    out[:, :half] = 0.5 * (f[i // 2][:, 2 * jlo] + f[i // 2][:, 2 * jlo + 1])
+    out[:, half:] = 0.5 * (f[(i + n) // 2][:, 2 * jhi - n] + f[(i + n) // 2][:, 2 * jhi - n + 1])
+    return out
+
+
+class TestBakerKernel:
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 4, 64, 1024])
+    def test_equals_the_gather_kernel(self, n, complex_field):
+        rng = np.random.default_rng(n)
+        f = rng.random((n, n))
+        if complex_field:
+            f = f + 1j * rng.standard_normal((n, n))
+        assert np.array_equal(_baker_kernel(f), gather_baker_kernel(f))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_allocates_only_its_output(self, dtype):
+        f = np.ones((512, 512), dtype=dtype)
+        _baker_kernel(f)
+        tracemalloc.start()
+        try:
+            out = _baker_kernel(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a gathered copy of the rows alone would add a whole state
+        assert peak < 1.25 * out.nbytes
 
 
 class TestKoopman:

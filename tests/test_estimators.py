@@ -231,6 +231,16 @@ class TestDetectSaturation:
         d = DistanceSeries(t, vals, 0.05)
         assert detect_saturation(d) == 6.0
 
+    @pytest.mark.parametrize("tail", [np.full(6, 2.0), np.linspace(2.0, 1.0, 6)],
+                             ids=["revives-to-a-plateau", "revives-and-drifts"])
+    def test_first_entry_into_the_theta_band(self, tail):
+        # the distance enters the theta band at t = 5 and leaves it again;
+        # the trailing plateau (if any) must not move t_b past the first entry
+        t = np.arange(12.0)
+        vals = np.concatenate([np.linspace(0.0, 2.8, 5), [np.pi - 0.01], tail])
+        d = DistanceSeries(t, vals, 0.05)
+        assert detect_saturation(d) == 5.0
+
 
 class TestIngestion:
     def test_unit_overlap_gives_zero_distance(self):
@@ -299,6 +309,15 @@ class TestOverlapCsv:
         assert err.value.row == 4
         assert f"time {float(time)} at row 2" in str(err.value)
         assert "(line 4)" in str(err.value)
+
+    def test_overflowing_time_span_reports_last_line(self, tmp_path):
+        # each time is finite and increasing, but t[-1] - t[0] is not a double
+        p = tmp_path / "span.csv"
+        p.write_text("t,overlap\n-1.7e308,1.0\n-1e308,0.5\n0,0.25\n1e308,0.125\n1.7e308,0.1\n")
+        with pytest.raises(DataFormatError) as err:
+            read_overlap_csv(p)
+        assert err.value.row == 6
+        assert "(line 6)" in str(err.value)
 
 
 class TestTrajectoryExponent:

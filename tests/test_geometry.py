@@ -214,13 +214,13 @@ class TestHilbertDistance:
 
         rng = np.random.default_rng(3)
         n = 64
-        b_mat = bvs_baker(n)
+        b = bvs_baker(n)
         basis = DiscreteBasis(n)
         psi = random_state(rng, basis)
         phi = random_state(rng, basis)
         before = hilbert_distance(psi, phi)
         after = hilbert_distance(
-            ProjectiveState(b_mat @ psi.amplitudes, basis),
-            ProjectiveState(b_mat @ phi.amplitudes, basis),
+            ProjectiveState(b(psi.amplitudes), basis),
+            ProjectiveState(b(phi.amplitudes), basis),
         )
         assert abs(after - before) < 1e-12

@@ -193,15 +193,39 @@ class TestBvsTransform:
         assert np.max(np.abs(gram - np.diag(np.diag(gram)))) < 1e-13
 
 
+def dense_baker(n):
+    """The defining product G_N^(-1) blockdiag(G_{N/2}, G_{N/2}), built densely."""
+    g_half = bvs_transform(n // 2)
+    block = np.zeros((n, n), dtype=complex)
+    block[: n // 2, : n // 2] = g_half
+    block[n // 2 :, n // 2 :] = g_half
+    return bvs_transform(n).conj().T @ block
+
+
 class TestBvsBaker:
+    # 1026 has an odd half, so the half-size FFT is not a power of two
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 128, 1026])
+    def test_step_matches_dense_definition(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x /= np.linalg.norm(x)
+        assert np.max(np.abs(bvs_baker(n)(x) - dense_baker(n) @ x)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 6, 128, 1026])
+    def test_step_acts_along_axis_zero(self, n):
+        rng = np.random.default_rng(n + 1)
+        x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        x /= np.linalg.norm(x, axis=0)
+        assert np.max(np.abs(bvs_baker(n)(x) - dense_baker(n) @ x)) < 1e-12
+
     @pytest.mark.parametrize("n", [2, 8, 128])
     def test_unitarity(self, n):
-        b = bvs_baker(n)
+        b = bvs_baker(n)(np.eye(n))
         assert np.max(np.abs(b.conj().T @ b - np.eye(n))) < 1e-10
 
     def test_two_by_two_hand_value(self):
         # G_1 = exp(-i pi/2) = -i, so B = -i G_2^dagger
-        b = bvs_baker(2)
+        b = bvs_baker(2)(np.eye(2))
         expected = np.array(
             [
                 [np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)],
@@ -224,8 +248,8 @@ class TestBvsBaker:
             v = ProjectiveState(rng.standard_normal(n) + 1j * rng.standard_normal(n), basis)
             before = hilbert_distance(u, v)
             after = hilbert_distance(
-                ProjectiveState(b @ u.amplitudes, basis),
-                ProjectiveState(b @ v.amplitudes, basis),
+                ProjectiveState(b(u.amplitudes), basis),
+                ProjectiveState(b(v.amplitudes), basis),
             )
             assert abs(after - before) < 1e-10
 

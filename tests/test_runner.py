@@ -142,6 +142,20 @@ class TestRun:
         assert res.classification == "unstable"
         assert res.summary["lambda"] == pytest.approx(np.log(2.0), rel=0.10)
 
+    def test_baker_classical_defaults_past_the_dip(self):
+        # at 20 steps the slab's overlap falls to ~its width near t = 8 and then
+        # climbs back as the grid averages the density; the fit must stop at the dip
+        res = run(ExperimentConfig(id="bak", system="baker_classical", steps=20))
+        assert res.summary["lambda"] == pytest.approx(np.log(2.0), rel=0.10)
+
+    @pytest.mark.parametrize("n", [1026, 1048, 1118, 1536])
+    def test_bvs_baker_fig2a_packet_across_n(self, n):
+        res = run(ExperimentConfig(
+            id="bvs", system="bvs_baker", n_dim=n, q0=1.0 / 3.0, p0=2.0 / 3.0,
+            alpha=1.0 / (2.0 * np.pi * n), steps=12, dt=2.0, theta=0.1, window=(0.0, None),
+        ))
+        assert 0.29 <= res.summary["lambda"] <= 0.40
+
     @pytest.mark.parametrize(
         "system, params, map_steps",
         [
@@ -456,6 +470,7 @@ class TestExitCodes:
     @example("t,overlap\n0,1.0\n1,0.5\n0.5,0.25\n")
     @example("t,overlap\n0,1.0\n1,0.5\nnan,0.25\n")
     @example("t,overlap\n0,1.0\n1,0.5\ninf,0.25\n")
+    @example("t,overlap\n-1.7e308,1.0\n-1e308,0.5\n0,0.25\n1e308,0.125\n1.7e308,0.1\n")
     @given(_overlap_csvs())
     def test_every_overlap_csv_ends_with_a_documented_exit_code(self, text):
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
@@ -464,8 +479,9 @@ class TestExitCodes:
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 fh.write(text)
             times = _parsed_times(path)
-            bad_times = times is not None and not (
-                np.all(np.isfinite(times)) and np.all(np.diff(times) > 0.0))
+            bad_times = bool(times) and not (
+                np.all(np.isfinite(times)) and np.all(np.diff(times) > 0.0)
+                and np.isfinite(times[-1] - times[0]))
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(["ingest", path, "--out", os.path.join(tmp, "out")])
         assert code in (EXIT_OK, EXIT_DATA, EXIT_NUMERICAL)
