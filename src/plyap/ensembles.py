@@ -45,7 +45,8 @@ class GridDensity:
             raise InvalidStateError(
                 f"value shape {v.shape} does not match geometry {self.geometry.shape}"
             )
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0):
+        # two reductions, no boolean temporaries; NaN fails both comparisons
+        if not (v.min() >= 0.0 and v.max() < np.inf):
             raise InvalidStateError("density values must be finite and non-negative")
         object.__setattr__(self, "values", v)
         if not self.mass > 0.0:

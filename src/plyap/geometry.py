@@ -110,25 +110,36 @@ class ProjectiveState:
     """Representative amplitude vector of a ray over a declared basis.
 
     Amplitudes need not be normalized; normalization happens inside the
-    distance operations.  Immutable by convention: operations return new
-    states and never write into ``amplitudes``.
+    distance operations.  Complex amplitudes are held as complex128 and all
+    others as float64, so a real field (such as a sqrt-density) stays real.
+    ``amplitudes`` is a read-only view, which keeps the norm computed once
+    at construction valid; operations return new states.  An array that
+    already has the held dtype is viewed, not copied, so do not write into
+    it after making a state from it.
     """
 
     amplitudes: np.ndarray
     basis: Basis
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        object.__setattr__(self, "amplitudes", amp)
+        amp = np.asarray(self.amplitudes)
+        amp = amp.astype(np.complex128 if np.iscomplexobj(amp) else np.float64, copy=False)
         if amp.shape != self.basis.shape:
             raise InvalidStateError(
                 f"amplitude shape {amp.shape} does not match basis {self.basis.shape}"
             )
-        if not np.all(np.isfinite(amp.view(np.float64))):
-            raise InvalidStateError("amplitudes must be finite")
-        n2 = self.norm_squared()
+        amp = amp.view()
+        amp.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amp)
+        a = amp.ravel()
+        # every term of vdot(a, a) is non-negative, so any NaN or inf amplitude
+        # makes the sum non-finite: one pass checks finiteness and computes n^2
+        n2 = float(np.vdot(a, a).real * self.weight)
         if not (np.isfinite(n2) and n2 > 0.0):
+            if not np.all(np.isfinite(a)):
+                raise InvalidStateError("amplitudes must be finite")
             raise InvalidStateError("state must have strictly positive finite norm")
+        object.__setattr__(self, "_norm_squared", n2)
 
     @property
     def weight(self) -> float:
@@ -136,11 +147,10 @@ class ProjectiveState:
         return self.basis.cell_weight
 
     def norm_squared(self) -> float:
-        a = self.amplitudes.ravel()
-        return float(np.vdot(a, a).real * self.weight)
+        return self._norm_squared
 
     def norm(self) -> float:
-        return float(np.sqrt(self.norm_squared()))
+        return float(np.sqrt(self._norm_squared))
 
 
 def _require_same_basis(a: ProjectiveState, b: ProjectiveState):

@@ -163,7 +163,7 @@ def split_operator_propagate(
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.cell_width)
     half_v = np.exp(-0.5j * dt * sys.potential(x))
     kinetic = np.exp(-0.5j * dt * k * k)
-    amp = psi.amplitudes.copy()
+    amp = psi.amplitudes.astype(np.complex128)
     for _ in range(steps):
         amp *= half_v
         amp = np.fft.ifft(kinetic * np.fft.fft(amp, norm="ortho"), norm="ortho")

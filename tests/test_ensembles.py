@@ -84,6 +84,11 @@ class TestSquareDensity:
         with pytest.raises(InvalidStateError):
             GridDensity(np.array([1.0, -0.5]), GridBasis1D(2, 0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(InvalidStateError, match="finite and non-negative"):
+            GridDensity(np.array([1.0, bad]), GridBasis1D(2, 0.0, 1.0))
+
 
 class TestSqrtEmbedding:
     def test_uniform_density_constant_amplitudes(self):
@@ -109,6 +114,19 @@ class TestSqrtEmbedding:
             pa = sqrt_embed(square_density(0.125, grid))
             pb = sqrt_embed(square_density(0.125 * r, grid))
             assert overlap_magnitude(pa, pb) == pytest.approx(r**-0.5, abs=1e-14)
+
+    def test_embedding_is_real_and_allocates_only_its_output(self):
+        rho = GridDensity(np.ones((512, 512)), GridBasis2D(512, 512))
+        sqrt_embed(rho)
+        tracemalloc.start()
+        try:
+            psi = sqrt_embed(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert psi.amplitudes.dtype == np.float64
+        # a complex copy of the square roots alone would add two real states
+        assert peak < 1.25 * rho.values.nbytes
 
 
 class TestLinearAnalytic:

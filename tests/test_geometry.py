@@ -72,6 +72,47 @@ class TestOverlap:
         with pytest.raises(InvalidStateError):
             ProjectiveState(np.array([1.0, np.inf]), DiscreteBasis(2))
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(np.inf, 0.0), complex(0.0, np.nan)],
+        ids=["nan", "inf", "-inf", "complex-inf", "complex-nan"],
+    )
+    def test_non_finite_amplitudes_rejected(self, bad):
+        with pytest.raises(InvalidStateError, match="amplitudes must be finite"):
+            ProjectiveState(np.array([1.0, bad]), DiscreteBasis(2))
+
+    def test_overflowing_norm_rejected(self):
+        with pytest.raises(InvalidStateError, match="strictly positive finite norm"):
+            ProjectiveState(np.array([1e200, 1.0]), DiscreteBasis(2))
+
+    @pytest.mark.parametrize(
+        "dtype,held",
+        [(int, np.float64), (bool, np.float64), (np.float32, np.float64),
+         (np.float64, np.float64), (np.complex64, np.complex128)],
+        ids=["int", "bool", "float32", "float64", "complex64"],
+    )
+    def test_real_amplitudes_stay_real(self, dtype, held):
+        psi = ProjectiveState(np.ones(3, dtype=dtype), DiscreteBasis(3))
+        assert psi.amplitudes.dtype == held
+
+    def test_amplitudes_are_read_only(self):
+        amp = np.array([1.0, 2.0])
+        psi = ProjectiveState(amp, DiscreteBasis(2))
+        with pytest.raises(ValueError):
+            psi.amplitudes[0] = 5.0
+        with pytest.raises(ValueError):
+            psi.amplitudes *= 2.0
+        amp[0] = 3.0  # the caller's array is not frozen
+        assert psi.norm_squared() == 5.0
+
+    def test_real_and_complex_states_agree(self):
+        rng = np.random.default_rng(5)
+        basis = GridBasis1D(16, 0.0, 2.0)
+        real = rng.standard_normal(16)
+        z = random_state(rng, basis)
+        mixed = overlap_magnitude(ProjectiveState(real, basis), z)
+        cplx = overlap_magnitude(ProjectiveState(real.astype(complex), basis), z)
+        assert abs(mixed - cplx) <= 1e-15
+
 
 class TestFubiniStudy:
     def test_identical_rays(self):
