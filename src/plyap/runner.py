@@ -8,6 +8,7 @@ file embeds the config hash.
 import datetime
 import hashlib
 import json
+import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -235,9 +236,11 @@ class ExperimentConfig:
         return d
 
     def hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
-        ).hexdigest()[:16]
+        return _config_hash(self.to_dict())
+
+
+def _config_hash(config_dict: dict) -> str:
+    return hashlib.sha256(json.dumps(config_dict, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @dataclass(eq=False)
@@ -311,16 +314,17 @@ def _estimate_and_classify(cfg: ExperimentConfig, dist, div):
     return curve, estimate, classification, t_b, detail
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
+def _column(values: np.ndarray) -> list:
+    """One CSV column as strings: floats to 17 significant digits, flags as 0/1."""
+    fmt = "%d" if values.dtype == bool else "%.17g"
+    return list(map(fmt.__mod__, values.tolist()))
 
 
-def _write_csv(path: Path, config_hash: str, header: str, rows):
+def _write_csv(path: Path, config_hash: str, header: str, *columns):
+    row = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(f"# config_hash={config_hash}\n{header}\n")
+        fh.writelines(map(row.__mod__, zip(*columns)))
 
 
 SUMMARY_SCHEMA = {
@@ -392,10 +396,11 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     dist, div = _SYSTEMS[config.system][1](config, params)
     curve, estimate, classification, t_b, detail = _estimate_and_classify(config, dist, div)
 
+    config_dict = config.to_dict()
     summary = {
         "id": config.id,
-        "config": config.to_dict(),
-        "config_hash": config.hash(),
+        "config": config_dict,
+        "config_hash": _config_hash(config_dict),
         "classification": classification,
         "lambda": None if estimate is None else estimate.asymptotic_value,
         "fit_window": None if estimate is None else list(estimate.fit_window),
@@ -430,32 +435,15 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
 def _write_result(result: ExperimentResult, out_dir: Path) -> Path:
     exp_dir = out_dir / result.config.id
     exp_dir.mkdir(parents=True, exist_ok=True)
-    h = result.config.hash()
+    h = result.summary["config_hash"]
     dist, div = result.distance, result.divergence
+    # series_from_log_overlaps gives both series the same times and saturated flags
+    t, sat = _column(dist.times), _column(dist.saturated)
+    _write_csv(exp_dir / "distance.csv", h, "t,d_p,saturated", t, _column(dist.values), sat)
     _write_csv(
-        exp_dir / "distance.csv",
-        h,
-        "t,d_p,saturated",
-        (
-            (_fmt(t), _fmt(v), str(int(s)))
-            for t, v, s in zip(dist.times, dist.values, dist.saturated)
-        ),
+        exp_dir / "divergence.csv", h, "t,log_divergence,saturated", t, _column(div.log_values), sat
     )
-    _write_csv(
-        exp_dir / "divergence.csv",
-        h,
-        "t,log_divergence,saturated",
-        (
-            (_fmt(t), _fmt(v), str(int(s)))
-            for t, v, s in zip(div.times, div.log_values, div.saturated)
-        ),
-    )
-    _write_csv(
-        exp_dir / "lambda_t.csv",
-        h,
-        "t,lambda_t",
-        ((_fmt(t), _fmt(v)) for t, v in result.curve),
-    )
+    _write_csv(exp_dir / "lambda_t.csv", h, "t,lambda_t", *map(_column, result.curve.T))
     with open(exp_dir / "summary.json", "w") as fh:
         json.dump(result.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -533,7 +521,8 @@ def ingest(path, convention: str = "amplitude", out_dir=None, **estimator_kwargs
 
     estimator_kwargs are further config fields (theta, window, ...); an
     unknown one raises ConfigError naming it."""
-    stem = Path(path).stem or "ingest"
+    # whitespace and backslashes would make the id unsafe as a directory name
+    stem = re.sub(r"[\s\\]", "_", Path(path).stem) or "ingest"
     cfg = ExperimentConfig.from_dict({
         "id": f"ingest-{stem}", "system": "overlap_file", "path": str(path),
         "convention": convention, **estimator_kwargs,

@@ -101,7 +101,7 @@ def render_line_plot(curves, title="", xlabel="", ylabel="", hlines=()):
         cx = np.asarray(cx, dtype=float)
         cy = np.asarray(cy, dtype=float)
         ok = np.isfinite(cy)
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(cx[ok], cy[ok]))
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px(cx[ok]).tolist(), py(cy[ok]).tolist())))
         color = _PALETTE[idx % len(_PALETTE)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'

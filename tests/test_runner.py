@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -18,6 +19,7 @@ from plyap import (
     GridBasis1D,
     divergence_series,
     r_adic_map,
+    runner,
     sqrt_embed,
     square_density,
     transfer_step,
@@ -25,6 +27,7 @@ from plyap import (
 )
 from plyap.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from plyap.runner import ExperimentConfig, figure, ingest, run
+from plyap.svgplot import _H, _MB, _ML, _MR, _MT, _W
 
 LN2_HALF = np.log(2.0) / 2.0
 
@@ -94,6 +97,15 @@ class TestRun:
             assert first == f"# config_hash={h}"
         doc = json.loads((tmp_path / "lin" / "summary.json").read_text())
         assert doc["config_hash"] == h
+
+    def test_config_dict_built_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        to_dict = ExperimentConfig.to_dict
+        monkeypatch.setattr(
+            ExperimentConfig, "to_dict", lambda cfg: calls.append(cfg) or to_dict(cfg))
+        res = run(ExperimentConfig(id="lin", system="linear", r=2.0, steps=20), out_dir=tmp_path)
+        assert len(calls) == 1
+        assert res.summary["config_hash"] == res.config.hash()
 
     def test_oscillator_classifies_stable(self):
         cfg = ExperimentConfig(
@@ -232,6 +244,21 @@ class TestRun:
             ingest(p, **setting)
         assert err.value.field == next(iter(setting))
 
+    @pytest.mark.parametrize(
+        "name, exp_id",
+        [("my run.csv", "ingest-my_run"), ("a\tb\\c d.csv", "ingest-a_b_c_d"),
+         ("plain.csv", "ingest-plain")],
+    )
+    def test_ingest_id_from_any_file_name(self, tmp_path, name, exp_id):
+        p = tmp_path / name
+        p.write_text("t,overlap\n" + "".join(f"{k},{math.exp(-0.02 * k)}\n" for k in range(100)))
+        res = ingest(p, out_dir=tmp_path / "api")
+        assert res.out_dir == tmp_path / "api" / exp_id
+        assert res.config.path == str(p)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["ingest", str(p), "--out", str(tmp_path / "cli")]) == EXIT_OK
+        assert (tmp_path / "cli" / exp_id / "summary.json").exists()
+
 
 class TestFigures:
     def test_fig1a_curves_monotone_toward_targets(self, tmp_path):
@@ -257,6 +284,117 @@ class TestFigures:
                 a = (tmp_path / "a" / sub / name).read_bytes()
                 b = (tmp_path / "b" / sub / name).read_bytes()
                 assert a == b
+
+
+def _oracle_csv(config_hash, header, rows):
+    lines = [f"# config_hash={config_hash}", header] + [",".join(row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def _assert_csvs_match_oracle(res):
+    """Each CSV of a run equals the per-value formatting of its series."""
+    dist, div, h = res.distance, res.divergence, res.summary["config_hash"]
+    expected = {
+        "distance.csv": _oracle_csv(h, "t,d_p,saturated", (
+            (f"{t:.17g}", f"{v:.17g}", str(int(s)))
+            for t, v, s in zip(dist.times, dist.values, dist.saturated))),
+        "divergence.csv": _oracle_csv(h, "t,log_divergence,saturated", (
+            (f"{t:.17g}", f"{v:.17g}", str(int(s)))
+            for t, v, s in zip(div.times, div.log_values, div.saturated))),
+        "lambda_t.csv": _oracle_csv(h, "t,lambda_t", (
+            (f"{t:.17g}", f"{v:.17g}") for t, v in res.curve)),
+    }
+    for name, text in expected.items():
+        assert (res.out_dir / name).read_bytes() == text.encode(), name
+    # the writers format the shared t and saturated columns once for both files
+    assert np.array_equal(div.times, dist.times)
+    assert np.array_equal(div.saturated, dist.saturated)
+
+
+def _polyline_oracle(curves, hlines):
+    """Each curve's points as the per-point loop formats them on render_line_plot's axes."""
+    xs = np.concatenate([c[1] for c in curves])
+    ys = np.concatenate([c[2] for c in curves])
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_vals = np.concatenate([ys[np.isfinite(ys)], [h for _, h in hlines]])
+    y_lo, y_hi = float(y_vals.min()), float(y_vals.max())
+    y_pad = 0.06 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+
+    def px(x):
+        return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
+
+    def py(y):
+        return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+
+    points = []
+    for _, cx, cy in curves:
+        ok = np.isfinite(cy)
+        points.append(" ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(cx[ok], cy[ok])))
+    return points
+
+
+# every runner system at small sizes; "linear" starts its divergence at -inf and
+# the period-2 bvs_baker packet at dt 1 saturates with an empty lambda_t curve
+_SMALL_RUNS = {
+    "linear": dict(r=2.0, steps=20),
+    "r_adic": dict(grid_n=2**10, init_width=2.0**-6, steps=8, dt=2),
+    "baker_classical": dict(grid_m=6, init_width=2.0**-4, steps=8),
+    "baker_koopman": dict(grid_m=6, init_width=2.0**-4, steps=6),
+    "oscillator": dict(omega=2.0, steps=200, dt=0.05),
+    "barrier": dict(omega=2.0, steps=200, dt=0.05),
+    "bvs_baker": dict(n_dim=64, dt=1),
+    "overlap_file": dict(convention="probability"),
+}
+
+
+@pytest.fixture(scope="module")
+def figure_runs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("figures")
+    return out, {fig_id: figure(fig_id, out) for fig_id in runner.FIGURE_IDS}
+
+
+class TestWriters:
+    def test_every_system_is_covered(self):
+        assert set(_SMALL_RUNS) == set(runner._SYSTEMS)
+
+    @pytest.mark.parametrize("system", sorted(_SMALL_RUNS))
+    def test_run_csvs_match_oracle(self, tmp_path, system):
+        params = dict(_SMALL_RUNS[system])
+        if system == "overlap_file":
+            params["path"] = str(tmp_path / "series.csv")
+            (tmp_path / "series.csv").write_text(
+                "t,overlap\n" + "".join(f"{k},{max(0.9**k, 0.001)}\n" for k in range(120)))
+        res = run(ExperimentConfig(id=system, system=system, **params), out_dir=tmp_path)
+        _assert_csvs_match_oracle(res)
+        if system == "linear":
+            assert (res.out_dir / "divergence.csv").read_text().splitlines()[2] == "0,-inf,0"
+        if system == "bvs_baker":
+            assert res.classification == "saturated"
+            assert (res.out_dir / "lambda_t.csv").read_text() == (
+                f"# config_hash={res.summary['config_hash']}\nt,lambda_t\n")
+
+    def test_ingest_csvs_match_oracle(self, tmp_path):
+        p = tmp_path / "noisy.csv"
+        rng = np.random.default_rng(5)
+        t = np.arange(2000) * 0.01
+        v = np.maximum(np.exp(-0.5 * t), 0.005 * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, t.size)))
+        rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), v.tolist()))
+        p.write_text("t,overlap\n" + rows)
+        _assert_csvs_match_oracle(ingest(p, out_dir=tmp_path))
+
+    def test_figure_csvs_match_oracle(self, figure_runs):
+        for results in figure_runs[1].values():
+            for res in results:
+                _assert_csvs_match_oracle(res)
+
+    def test_figure_polylines_match_oracle(self, figure_runs):
+        out, runs = figure_runs
+        for fig_id, results in runs.items():
+            curves = [(r.config.id, r.curve[:, 0], r.curve[:, 1]) for r in results]
+            svg = (out / f"{fig_id}.svg").read_text()
+            points = re.findall(r'<polyline points="([^"]*)"', svg)
+            assert points == _polyline_oracle(curves, runner._FIGURES[fig_id][1]), fig_id
 
 
 class TestCli:
