@@ -19,7 +19,6 @@ from .ensembles import (
     GridDensity,
     baker_map,
     evolve_linear_analytic,
-    koopman_step,
     r_adic_map,
     square_density,
     sqrt_embed,
@@ -86,13 +85,14 @@ def _r_adic_start(p):
 
 
 def _baker_start(p):
-    rho = _slab_density_2d(2 ** p["grid_m"], p["init_width"])
+    # vertical slab [0, width) x [0, 1): its baker self-overlap is the exact
+    # intersection measure 2^-t (full rate ln 2; the invertible map has no
+    # pushforward dilution to halve it).  Constant in y, it is a read-only
+    # broadcast of the square along x, so no n x n array is written.
+    n = 2 ** p["grid_m"]
+    x = square_density(p["init_width"], GridBasis1D(n, 0.0, 1.0)).values
+    rho = GridDensity(np.broadcast_to(x[:, None], (n, n)), GridBasis2D(n, n))
     return rho, lambda d: transfer_step(d, baker_map()), sqrt_embed
-
-
-def _koopman_start(p):
-    ref = sqrt_embed(_slab_density_2d(2 ** p["grid_m"], p["init_width"]))
-    return ref, lambda s: koopman_step(s, baker_map()), lambda s: s
 
 
 def _bvs_start(p):
@@ -155,7 +155,6 @@ _SYSTEMS = {
         {**_MAP, "r": ("an integer >= 2", lambda v: v == int(v))},
     ),
     "baker_classical": ({"grid_m": 10, "init_width": 2.0**-8}, _map_system(_baker_start), _MAP),
-    "baker_koopman": ({"grid_m": 10, "init_width": 2.0**-8}, _map_system(_koopman_start), _MAP),
     "oscillator": (
         {"omega": None, "omega0": lambda p: p["omega"] / 2.0},
         lambda cfg, p: _gaussian_series(cfg, p, +1),
@@ -174,8 +173,10 @@ _SYSTEMS = {
 _POSITIVE = ("> 0", lambda v: _number(v) and v > 0.0)
 _COUNT = ("an integer >= 1", lambda v: _number(v, int) and v >= 1)
 _UNIT = ("in [0, 1)", lambda v: _number(v) and 0.0 <= v < 1.0)
+# whitespace and path separators would make an id unsafe as a directory name
+_UNSAFE = re.compile(r"[\s/\\]")
 _NAME = ("a filesystem-safe name", lambda v: isinstance(v, str) and v not in ("", ".", "..")
-         and not any(c in v for c in "/\\ \t\n"))
+         and not _UNSAFE.search(v))
 _EVEN = ("an even integer >= 2", lambda v: _number(v, int) and v % 2 == 0 and v >= 2)
 _ANGLE = ("in [0, pi/2)", lambda v: _number(v) and 0.0 <= v < np.pi / 2)
 
@@ -235,9 +236,6 @@ class ExperimentConfig:
             d["window"] = list(d["window"])
         return d
 
-    def hash(self) -> str:
-        return _config_hash(self.to_dict())
-
 
 def _config_hash(config_dict: dict) -> str:
     return hashlib.sha256(json.dumps(config_dict, sort_keys=True).encode()).hexdigest()[:16]
@@ -255,17 +253,6 @@ class ExperimentResult:
     summary: dict
     out_dir: Path | None = None
     defaults: dict = field(default_factory=dict)
-
-
-def _slab_density_2d(n: int, width: float) -> GridDensity:
-    # vertical slab [0, width) x [0, 1): its baker self-overlap is the exact
-    # intersection measure 2^-t (full rate ln 2; the invertible map has no
-    # pushforward dilution to halve it)
-    geom = GridBasis2D(n, n)
-    cells = max(1, int(round(width * n)))
-    values = np.zeros((n, n))
-    values[:cells, :] = n / cells
-    return GridDensity(values, geom)
 
 
 def _params(cfg: ExperimentConfig):
@@ -521,8 +508,7 @@ def ingest(path, convention: str = "amplitude", out_dir=None, **estimator_kwargs
 
     estimator_kwargs are further config fields (theta, window, ...); an
     unknown one raises ConfigError naming it."""
-    # whitespace and backslashes would make the id unsafe as a directory name
-    stem = re.sub(r"[\s\\]", "_", Path(path).stem) or "ingest"
+    stem = _UNSAFE.sub("_", Path(path).stem) or "ingest"
     cfg = ExperimentConfig.from_dict({
         "id": f"ingest-{stem}", "system": "overlap_file", "path": str(path),
         "convention": convention, **estimator_kwargs,

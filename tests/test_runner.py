@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 from plyap import (
     ConfigError,
     GridBasis1D,
+    GridBasis2D,
+    GridDensity,
+    baker_map,
     divergence_series,
     r_adic_map,
     runner,
@@ -46,12 +49,13 @@ class TestConfig:
         assert err.value.field == "sigma"
 
     def test_unknown_system_named(self):
-        with pytest.raises(ConfigError) as err:
-            ExperimentConfig.from_dict({"id": "x", "system": "pendulum"})
-        assert err.value.field == "system"
+        for system in ("pendulum", "baker_koopman"):
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig.from_dict({"id": "x", "system": system})
+            assert err.value.field == "system"
 
     def test_unsafe_id_rejected(self):
-        for unsafe in ("a/b", ".", ".."):
+        for unsafe in ("a/b", ".", "..", "a\rb", "a\x0bb", "a\x0cb", "a\xa0b"):
             with pytest.raises(ConfigError) as err:
                 ExperimentConfig(id=unsafe, system="linear")
             assert err.value.field == "id"
@@ -71,8 +75,9 @@ class TestConfig:
         a = ExperimentConfig(id="x", system="linear", r=2.0)
         b = ExperimentConfig(id="x", system="linear", r=2.0)
         c = ExperimentConfig(id="x", system="linear", r=3.0)
-        assert a.hash() == b.hash()
-        assert a.hash() != c.hash()
+        h = [runner._config_hash(cfg.to_dict()) for cfg in (a, b, c)]
+        assert h[0] == h[1]
+        assert h[0] != h[2]
 
 
 class TestRun:
@@ -91,7 +96,7 @@ class TestRun:
     def test_config_hash_embedded_everywhere(self, tmp_path):
         cfg = ExperimentConfig(id="lin", system="linear", r=2.0, steps=20, theta=0.0)
         res = run(cfg, out_dir=tmp_path)
-        h = cfg.hash()
+        h = runner._config_hash(cfg.to_dict())
         for name in ("distance.csv", "divergence.csv", "lambda_t.csv"):
             first = (tmp_path / "lin" / name).read_text().splitlines()[0]
             assert first == f"# config_hash={h}"
@@ -105,7 +110,7 @@ class TestRun:
             ExperimentConfig, "to_dict", lambda cfg: calls.append(cfg) or to_dict(cfg))
         res = run(ExperimentConfig(id="lin", system="linear", r=2.0, steps=20), out_dir=tmp_path)
         assert len(calls) == 1
-        assert res.summary["config_hash"] == res.config.hash()
+        assert res.summary["config_hash"] == runner._config_hash(to_dict(res.config))
 
     def test_oscillator_classifies_stable(self):
         cfg = ExperimentConfig(
@@ -173,7 +178,6 @@ class TestRun:
         [
             ("r_adic", dict(grid_n=2**12, init_width=2.0**-12), 12),
             ("baker_classical", dict(grid_m=8, init_width=2.0**-8), 8),
-            ("baker_koopman", dict(grid_m=8, init_width=2.0**-8), 8),
         ],
     )
     def test_dt_is_map_steps_per_sample(self, system, params, map_steps):
@@ -202,6 +206,28 @@ class TestRun:
         assert np.array_equal(res.distance.values, dist.values)
         assert np.array_equal(res.divergence.log_values, div.log_values)
 
+    @pytest.mark.parametrize("cells, snapped", [(3, 3), (2.5, 2)])
+    def test_baker_classical_matches_explicit_state_list(self, cells, snapped):
+        # the slab [0, width) x [0, 1) built by hand on whole cells
+        n = 2**6
+        values = np.zeros((n, n))
+        values[:snapped, :] = n / snapped
+        rho = GridDensity(values, GridBasis2D(n, n))
+        ref = sqrt_embed(rho)
+        states = [ref]
+        for _ in range(8):
+            rho = transfer_step(rho, baker_map())
+            states.append(sqrt_embed(rho))
+        dist, div = divergence_series(np.arange(9.0), states, ref)
+        cfg = ExperimentConfig(id="bak", system="baker_classical", steps=8, grid_m=6,
+                               init_width=cells / n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a whole-cell width does not warn
+            with pytest.warns(UserWarning) if cells % 1 else contextlib.nullcontext():
+                res = run(cfg)
+        assert np.array_equal(res.distance.values, dist.values)
+        assert np.array_equal(res.divergence.log_values, div.log_values)
+
     def test_run_holds_a_constant_number_of_states(self):
         cfg = ExperimentConfig(id="mem", system="baker_classical", grid_m=9, steps=20)
         run(cfg)  # the first run in a process also pays for one-off allocations
@@ -214,12 +240,6 @@ class TestRun:
         # one complex state on the 512 x 512 grid takes 16 * 512^2 bytes; a run
         # that kept all 21 of its states would peak above 21 of them
         assert peak < 8 * 16 * 512**2
-
-    def test_baker_koopman_runs(self):
-        cfg = ExperimentConfig(id="bk", system="baker_koopman", steps=6,
-                               grid_m=7, init_width=2.0**-5)
-        res = run(cfg)
-        assert res.classification in ("unstable", "saturated")
 
     def test_overlap_file_system(self, tmp_path):
         t = np.arange(400.0)
@@ -340,7 +360,6 @@ _SMALL_RUNS = {
     "linear": dict(r=2.0, steps=20),
     "r_adic": dict(grid_n=2**10, init_width=2.0**-6, steps=8, dt=2),
     "baker_classical": dict(grid_m=6, init_width=2.0**-4, steps=8),
-    "baker_koopman": dict(grid_m=6, init_width=2.0**-4, steps=6),
     "oscillator": dict(omega=2.0, steps=200, dt=0.05),
     "barrier": dict(omega=2.0, steps=200, dt=0.05),
     "bvs_baker": dict(n_dim=64, dt=1),
@@ -499,8 +518,7 @@ _JUNK = st.one_of(
     st.lists(st.integers(-3, 3), max_size=3),
 )
 _SYSTEM_NAMES = [
-    "linear", "r_adic", "baker_classical", "baker_koopman", "oscillator", "barrier", "bvs_baker",
-    "overlap_file",
+    "linear", "r_adic", "baker_classical", "oscillator", "barrier", "bvs_baker", "overlap_file",
 ]
 # mostly in-domain values at small sizes; a size left out would fall back to a
 # large default, so the sizes are always given
