@@ -246,17 +246,15 @@ def koopman_step(state: ProjectiveState, m: MapDescriptor) -> ProjectiveState:
     return ProjectiveState(_baker_kernel(state.amplitudes), geom)
 
 
-def evolve_linear_analytic(b: float, r: float, n: int, theta: float = 0.0):
+def evolve_linear_analytic(r: float, n: int, theta: float = 0.0):
     """Closed-form distance/divergence series for the stretching map x -> r x.
 
-    The square density of width b evolves to width b r^k, so the overlap
-    with the initial embedding is r^(-k/2) regardless of b; computed in the
-    log domain so arbitrarily long series stay exact.
+    A square density of any width b evolves to width b r^k, so the overlap
+    with the initial embedding is r^(-k/2); computed in the log domain so
+    arbitrarily long series stay exact.
 
     Returns (DistanceSeries, DivergenceSeries) for k = 0..n.
     """
-    if not b > 0.0:
-        raise DomainError("square width must be positive")
     if not r > 1.0:
         raise DomainError("linear map needs r > 1")
     if n < 0:

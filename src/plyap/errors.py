@@ -9,11 +9,7 @@ class PlyapError(Exception):
     """Base class for all package errors."""
 
 
-class ContractViolationError(PlyapError):
-    """An operation was called with incompatible operands."""
-
-
-class BasisMismatchError(ContractViolationError):
+class BasisMismatchError(PlyapError):
     """Two states with different basis descriptors entered a binary operation."""
 
 

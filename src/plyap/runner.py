@@ -109,7 +109,7 @@ def _gaussian_series(cfg, p, sign):
 
 
 def _read_series(cfg, p):
-    raw = read_overlap_csv(p["path"], convention=cfg.convention)
+    raw = read_overlap_csv(p["path"], convention=p["convention"])
     return ingest_overlap_series(raw, theta=cfg.theta)
 
 
@@ -145,8 +145,8 @@ _MAP = {"dt": ("a whole number of map steps > 0", lambda v: v == int(v))}
 # call time, so a wrapper installed on a name (the benchmark tracer) sees the call.
 _SYSTEMS = {
     "linear": (
-        {"r": 2.0, "b": 1.0},
-        lambda cfg, p: evolve_linear_analytic(p["b"], p["r"], cfg.steps, theta=cfg.theta),
+        {"r": 2.0},
+        lambda cfg, p: evolve_linear_analytic(p["r"], cfg.steps, theta=cfg.theta),
         {"dt": ("1 (the series samples every map step)", lambda v: v == 1)},
     ),
     "r_adic": (
@@ -167,14 +167,16 @@ _SYSTEMS = {
         _map_system(_bvs_start),
         _MAP,
     ),
-    "overlap_file": ({"path": None}, _read_series, {}),
+    "overlap_file": ({"path": None, "convention": "amplitude"}, _read_series, {}),
 }
+# every system parameter; a system rejects those that only other systems take
+_PARAMS = dict.fromkeys(name for defaults, _, _ in _SYSTEMS.values() for name in defaults)
 
 _POSITIVE = ("> 0", lambda v: _number(v) and v > 0.0)
 _COUNT = ("an integer >= 1", lambda v: _number(v, int) and v >= 1)
 _UNIT = ("in [0, 1)", lambda v: _number(v) and 0.0 <= v < 1.0)
-# whitespace and path separators would make an id unsafe as a directory name
-_UNSAFE = re.compile(r"[\s/\\]")
+# whitespace, path separators and NUL would make an id unsafe as a directory name
+_UNSAFE = re.compile(r"[\s/\\\x00]")
 _NAME = ("a filesystem-safe name", lambda v: isinstance(v, str) and v not in ("", ".", "..")
          and not _UNSAFE.search(v))
 _EVEN = ("an even integer >= 2", lambda v: _number(v, int) and v % 2 == 0 and v >= 2)
@@ -186,15 +188,15 @@ class ExperimentConfig:
     """Flat, JSON-serializable description of one experiment.
 
     A field that is set must lie in its domain (text, test) and in any narrower
-    domain its system declares; otherwise construction raises ConfigError."""
+    domain its system declares, and a system parameter may be set only for a
+    system that takes it; otherwise construction raises ConfigError."""
 
     id: str = _field(_NAME)
     system: str = _field(_one_of(*_SYSTEMS))
     steps: int = _field(_COUNT, 40)
     dt: float = _field(_POSITIVE, 1.0)
-    # system parameters; which ones apply depends on `system`
+    # system parameters; each system takes only those its _SYSTEMS entry names
     r: float | None = _field(("> 1", lambda v: _number(v) and v > 1.0), None)
-    b: float | None = _field(_POSITIVE, None)
     init_width: float | None = _field(("in (0, 1]", lambda v: _number(v) and 0.0 < v <= 1.0), None)
     grid_n: int | None = _field(_COUNT, None)
     grid_m: int | None = _field(_COUNT, None)
@@ -205,7 +207,7 @@ class ExperimentConfig:
     p0: float | None = _field(_UNIT, None)
     alpha: float | None = _field(_POSITIVE, None)
     path: str | None = _field(("a file path", lambda v: isinstance(v, str) and v != ""), None)
-    convention: str = _field(_one_of("amplitude", "probability"), "amplitude")
+    convention: str | None = _field(_one_of("amplitude", "probability"), None)
     # estimator settings
     theta: float = _field(_ANGLE, DEFAULT_THETA)
     delta_index: int = _field(_COUNT, 1)
@@ -263,6 +265,9 @@ def _params(cfg: ExperimentConfig):
         if value is not None or f.default is not None:  # None only where it is the default
             _check(f.name, value, f.metadata["domain"])
     defaults, _, narrowed = _SYSTEMS[cfg.system]
+    for name in _PARAMS:
+        if name not in defaults and getattr(cfg, name) is not None:
+            raise ConfigError(f"{name} is not a parameter of {cfg.system}", field=name)
     for name, domain in narrowed.items():
         if getattr(cfg, name) is not None:
             _check(name, getattr(cfg, name), domain)
@@ -446,7 +451,7 @@ _FIGURES = {
     "fig1a": (
         [
             ExperimentConfig(
-                id=f"fig1a-r{r}", system="linear", r=float(r), b=1.0,
+                id=f"fig1a-r{r}", system="linear", r=float(r),
                 steps=40, dt=1.0, theta=0.0, window=(10.0, None),
             )
             for r in (2, 3, 5)
@@ -591,7 +596,7 @@ def selftest() -> int:
         )
 
     def linear_exponent():
-        _, div = evolve_linear_analytic(1.0, 2.0, 40)
+        _, div = evolve_linear_analytic(2.0, 40)
         est = asymptotic_estimate(div, window=(10.0, 39.0))
         return abs(est.asymptotic_value / _LN2_HALF - 1.0) < 0.01
 

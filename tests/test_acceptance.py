@@ -45,7 +45,7 @@ LN = np.log
 def test_criterion_1_linear_map_exponents():
     for r in (2, 3, 5):
         t0 = time.perf_counter()
-        _, div = evolve_linear_analytic(1.0, float(r), 40)
+        _, div = evolve_linear_analytic(float(r), 40)
         est = asymptotic_estimate(div, window=(10.0, 39.0))
         elapsed = time.perf_counter() - t0
         assert est.asymptotic_value == pytest.approx(LN(r) / 2, rel=0.01)
@@ -66,7 +66,7 @@ def test_criterion_2_fig1a_grid_matches_analytic():
         states.append(sqrt_embed(cur))
     times = np.arange(11.0)
     dist_grid, div_grid = divergence_series(times, states, ref, theta=1e-12)
-    dist_ana, div_ana = evolve_linear_analytic(1.0, 2.0, 10)
+    dist_ana, div_ana = evolve_linear_analytic(2.0, 10)
     assert np.max(np.abs(dist_grid.values - dist_ana.values)) < 1e-10
     curve_grid = finite_time_p_lyapunov(div_grid)
     curve_ana = finite_time_p_lyapunov(div_ana)
@@ -77,7 +77,7 @@ def test_criterion_2_fig1a_grid_matches_analytic():
     # shrinks monotonically and ends small
     targets = {2: 0.3466, 3: 0.5493, 5: 0.8047}
     for r, target in targets.items():
-        _, div = evolve_linear_analytic(1.0, float(r), 40)
+        _, div = evolve_linear_analytic(float(r), 40)
         lam = finite_time_p_lyapunov(div)[:, 1]
         gap = target - lam
         assert np.all(np.diff(lam) > -1e-12)

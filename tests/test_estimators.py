@@ -74,13 +74,13 @@ class TestDivergenceSeries:
             finite_time_p_lyapunov(div)
 
     def test_linear_map_distance_formula(self):
-        dist, _ = evolve_linear_analytic(1.0, 2.0, 12)
+        dist, _ = evolve_linear_analytic(2.0, 12)
         n = np.arange(13)
         assert np.allclose(dist.values, 2 * np.arccos(2.0 ** (-n / 2)), atol=1e-12)
 
     def test_two_steps_r2_divergence_is_two(self):
         # d_P = 2 arccos(1/2) = 2pi/3, divergence = (2pi/3)/(pi/3) = 2
-        dist, div = evolve_linear_analytic(1.0, 2.0, 2)
+        dist, div = evolve_linear_analytic(2.0, 2)
         assert dist.values[2] == pytest.approx(2 * np.pi / 3, abs=1e-14)
         assert np.exp(div.log_values[2]) == pytest.approx(2.0, rel=1e-12)
 
@@ -93,7 +93,7 @@ class TestDivergenceSeries:
 class TestFiniteTime:
     def test_linear_map_converges_to_half_rate(self):
         # the pointwise curve carries an O(1/t) tail, so convergence needs t
-        _, div = evolve_linear_analytic(1.0, 2.0, 200)
+        _, div = evolve_linear_analytic(2.0, 200)
         curve = finite_time_p_lyapunov(div)
         assert curve[-1, 1] == pytest.approx(LN2_HALF, rel=0.01)
 
@@ -118,7 +118,7 @@ class TestFiniteTime:
         assert est.asymptotic_value == pytest.approx(0.017, rel=0.05)
 
     def test_insufficient_points(self):
-        _, div = evolve_linear_analytic(1.0, 2.0, 2)
+        _, div = evolve_linear_analytic(2.0, 2)
         with pytest.raises(InsufficientDataError):
             finite_time_p_lyapunov(div, delta_index=2)
 
@@ -126,13 +126,13 @@ class TestFiniteTime:
 class TestAsymptoticEstimate:
     @pytest.mark.parametrize("r", [2, 3, 5])
     def test_linear_maps_half_rate(self, r):
-        _, div = evolve_linear_analytic(1.0, float(r), 40)
+        _, div = evolve_linear_analytic(float(r), 40)
         est = asymptotic_estimate(div, window=(10.0, 39.0))
         assert est.asymptotic_value == pytest.approx(np.log(r) / 2, rel=0.01)
 
     @pytest.mark.parametrize("r", [2, 3, 5])
     def test_error_decreases_with_window_start(self, r):
-        _, div = evolve_linear_analytic(1.0, float(r), 60)
+        _, div = evolve_linear_analytic(float(r), 60)
         errs = []
         for start in (5.0, 15.0, 25.0):
             est = asymptotic_estimate(div, window=(start, 59.0))
@@ -146,7 +146,7 @@ class TestAsymptoticEstimate:
             asymptotic_estimate(div)
 
     def test_scale_invariance_of_regression(self):
-        _, div = evolve_linear_analytic(1.0, 3.0, 30)
+        _, div = evolve_linear_analytic(3.0, 30)
         est0 = asymptotic_estimate(div)
         for c in (1e-6, 10.0, 1e8):
             shifted = DivergenceSeries(
@@ -156,7 +156,7 @@ class TestAsymptoticEstimate:
             assert abs(est.asymptotic_value - est0.asymptotic_value) < 1e-12
 
     def test_time_unit_covariance(self):
-        _, div = evolve_linear_analytic(1.0, 2.0, 40)
+        _, div = evolve_linear_analytic(2.0, 40)
         est0 = asymptotic_estimate(div)
         for s in (0.25, 4.0):
             scaled = DivergenceSeries(div.times * s, div.log_values, div.saturated)
@@ -195,7 +195,7 @@ class TestAsymptoticEstimate:
         assert asymptotic_estimate(div, window=(1.0, 8.0), saturation_time=6.0).fit_window == (1.0, 8.0)
 
     def test_explicit_window_needs_four_points(self):
-        _, div = evolve_linear_analytic(1.0, 2.0, 40)
+        _, div = evolve_linear_analytic(2.0, 40)
         with pytest.raises(InsufficientDataError):
             asymptotic_estimate(div, window=(36.0, 38.0))
 

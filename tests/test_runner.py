@@ -44,9 +44,10 @@ class TestConfig:
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_field_named(self):
-        with pytest.raises(ConfigError) as err:
-            ExperimentConfig.from_dict({"id": "x", "system": "linear", "sigma": 1.0})
-        assert err.value.field == "sigma"
+        for name in ("sigma", "b"):
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig.from_dict({"id": "x", "system": "linear", name: 1.0})
+            assert err.value.field == name
 
     def test_unknown_system_named(self):
         for system in ("pendulum", "baker_koopman"):
@@ -55,7 +56,7 @@ class TestConfig:
             assert err.value.field == "system"
 
     def test_unsafe_id_rejected(self):
-        for unsafe in ("a/b", ".", "..", "a\rb", "a\x0bb", "a\x0cb", "a\xa0b"):
+        for unsafe in ("a/b", ".", "..", "a\rb", "a\x0bb", "a\x0cb", "a\xa0b", "a\x00b"):
             with pytest.raises(ConfigError) as err:
                 ExperimentConfig(id=unsafe, system="linear")
             assert err.value.field == "id"
@@ -83,7 +84,7 @@ class TestConfig:
 class TestRun:
     def test_linear_r2_summary(self, tmp_path):
         cfg = ExperimentConfig(
-            id="lin2", system="linear", r=2.0, b=1.0, steps=40, theta=0.0,
+            id="lin2", system="linear", r=2.0, steps=40, theta=0.0,
             window=(10.0, None),
         )
         res = run(cfg, out_dir=tmp_path)
@@ -507,6 +508,10 @@ _OUT_OF_DOMAIN = [
     ({"id": "x", "system": "linear", "steps": 4, "dt": 2}, "dt"),
     ({"id": ".", "system": "linear"}, "id"),
     ({"id": "..", "system": "linear"}, "id"),
+    ({"id": "a\x00b", "system": "linear", "steps": 5}, "id"),
+    ({"id": "x", "system": "linear", "grid_m": 5}, "grid_m"),
+    ({"id": "x", "system": "baker_classical", "n_dim": 8}, "n_dim"),
+    ({"id": "x", "system": "linear", "convention": "amplitude"}, "convention"),
 ]
 
 _JUNK = st.one_of(
@@ -521,38 +526,53 @@ _SYSTEM_NAMES = [
     "linear", "r_adic", "baker_classical", "oscillator", "barrier", "bvs_baker", "overlap_file",
 ]
 # mostly in-domain values at small sizes; a size left out would fall back to a
-# large default, so the sizes are always given
-_CONFIGS = st.fixed_dictionaries(
-    {
-        "id": st.sampled_from(["run", "a-1"]),
-        "system": st.sampled_from(_SYSTEM_NAMES),
-        "steps": st.integers(1, 12),
-        "grid_n": st.integers(1, 256),
-        "grid_m": st.integers(1, 6),
-        "n_dim": st.integers(1, 32).map(lambda k: 2 * k),
-    },
-    optional={
-        "dt": st.sampled_from([1, 2, 1.0, 0.5, 0.05]),
-        "r": st.one_of(st.integers(2, 5), st.floats(1.01, 6.0)),
-        "b": st.floats(0.01, 3.0),
-        "init_width": st.floats(1e-3, 1.0),
-        "omega": st.floats(0.1, 6.0),
-        "omega0": st.floats(0.1, 6.0),
-        "q0": st.floats(0.0, 0.99),
-        "p0": st.floats(0.0, 0.99),
-        "alpha": st.floats(1e-3, 1.0),
-        "path": st.sampled_from(["series.csv", "missing.csv", "."]),
-        "convention": st.sampled_from(["amplitude", "probability"]),
-        "theta": st.floats(0.0, 1.5),
-        "delta_index": st.integers(1, 4),
-        "window": st.lists(st.one_of(st.none(), st.floats(-5.0, 20.0)), min_size=2, max_size=2),
-        "stable_threshold": st.floats(0.0, 1.0),
-    },
-)
+# large default, so a system's size is always given
+_SIZES = {
+    "grid_n": st.integers(1, 256),
+    "grid_m": st.integers(1, 6),
+    "n_dim": st.integers(1, 32).map(lambda k: 2 * k),
+}
+_PARAMETERS = {
+    "r": st.one_of(st.integers(2, 5), st.floats(1.01, 6.0)),
+    "init_width": st.floats(1e-3, 1.0),
+    "omega": st.floats(0.1, 6.0),
+    "omega0": st.floats(0.1, 6.0),
+    "q0": st.floats(0.0, 0.99),
+    "p0": st.floats(0.0, 0.99),
+    "alpha": st.floats(1e-3, 1.0),
+    "path": st.sampled_from(["series.csv", "missing.csv", "."]),
+    "convention": st.sampled_from(["amplitude", "probability"]),
+}
+_SETTINGS = {
+    "dt": st.sampled_from([1, 2, 1.0, 0.5, 0.05]),
+    "theta": st.floats(0.0, 1.5),
+    "delta_index": st.integers(1, 4),
+    "window": st.lists(st.one_of(st.none(), st.floats(-5.0, 20.0)), min_size=2, max_size=2),
+    "stable_threshold": st.floats(0.0, 1.0),
+}
+
+
+def _system_configs(system):
+    """Configs of one system that set only its own parameters."""
+
+    def own(strategies):
+        return {k: v for k, v in strategies.items() if k in runner._SYSTEMS[system][0]}
+
+    return st.fixed_dictionaries(
+        {"id": st.sampled_from(["run", "a-1"]), "system": st.just(system),
+         "steps": st.integers(1, 12), **own(_SIZES)},
+        optional={**_SETTINGS, **own(_PARAMETERS)},
+    )
+
+
+_CONFIGS = st.sampled_from(_SYSTEM_NAMES).flatmap(_system_configs)
 # at most one field (or a removed one, now unknown) replaced by a value of any JSON type
 _MUTATIONS = st.one_of(
     st.none(),
-    st.tuples(st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__) + ["seed", "mode"]), _JUNK),
+    st.tuples(
+        st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__) + ["seed", "mode", "b"]),
+        _JUNK,
+    ),
 )
 
 
@@ -589,9 +609,8 @@ def _parsed_times(path):
 def _with_examples(test):
     for cfg, _ in _OUT_OF_DOMAIN:
         test = example(cfg, None)(test)
-    sizes = {"steps": 4, "grid_n": 2, "grid_m": 1, "n_dim": 2}
     for path in ("series.csv", "missing.csv", "."):
-        test = example({"id": "run", "system": "overlap_file", "path": path, **sizes}, None)(test)
+        test = example({"id": "run", "system": "overlap_file", "path": path, "steps": 4}, None)(test)
     return test
 
 
