@@ -40,6 +40,7 @@ from .ensembles import (
     MapDescriptor,
     apply_map,
     baker_map,
+    density_overlap,
     evolve_linear_analytic,
     koopman_step,
     linear_map,

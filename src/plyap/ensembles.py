@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, DomainOverflowError, InvalidStateError
+from .errors import BasisMismatchError, DomainError, DomainOverflowError, InvalidStateError
 from .geometry import GridBasis1D, GridBasis2D, ProjectiveState
 from .series import series_from_log_overlaps
 
@@ -26,6 +26,7 @@ __all__ = [
     "apply_map",
     "square_density",
     "sqrt_embed",
+    "density_overlap",
     "transfer_step",
     "koopman_step",
     "evolve_linear_analytic",
@@ -34,7 +35,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GridDensity:
-    """Non-negative piecewise-constant probability density on a uniform grid."""
+    """Non-negative piecewise-constant probability density on a uniform grid.
+
+    ``values`` is a read-only view, which keeps the mass computed once at
+    construction valid; a float64 array is viewed, not copied.
+    """
 
     values: np.ndarray
     geometry: GridBasis1D | GridBasis2D
@@ -45,16 +50,24 @@ class GridDensity:
             raise InvalidStateError(
                 f"value shape {v.shape} does not match geometry {self.geometry.shape}"
             )
-        # two reductions, no boolean temporaries; NaN fails both comparisons
-        if not (v.min() >= 0.0 and v.max() < np.inf):
-            raise InvalidStateError("density values must be finite and non-negative")
+        v = v.view()
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
-        if not self.mass > 0.0:
+        # two reductions, no boolean temporaries: NaN fails the minimum, and with
+        # every value >= 0 an infinite value or an overflowing sum makes the mass inf
+        with np.errstate(over="ignore"):
+            mass = float(v.sum() * self.geometry.cell_weight)
+        if not (v.min() >= 0.0 and mass < np.inf):
+            raise InvalidStateError(
+                "density values must be finite and non-negative, with finite mass"
+            )
+        if not mass > 0.0:
             raise InvalidStateError("density must have positive mass")
+        object.__setattr__(self, "_mass", mass)
 
     @property
     def mass(self) -> float:
-        return float(self.values.sum() * self.geometry.cell_weight)
+        return self._mass
 
 
 @dataclass(frozen=True)
@@ -142,6 +155,30 @@ def sqrt_embed(rho: GridDensity) -> ProjectiveState:
     the grid quadrature.
     """
     return ProjectiveState(np.sqrt(rho.values), rho.geometry)
+
+
+def density_overlap(reference: ProjectiveState):
+    """The overlap of a density's embedding with a fixed embedding, as a function.
+
+    Returns rho -> |<sqrt_embed(rho), reference>| / (||sqrt_embed(rho)|| ||reference||),
+    clamped to 1, for densities on the reference's grid.  Only the rows
+    (first-axis indices) from the first to the last that hold the reference's
+    support enter the sum, and ||sqrt_embed(rho)||^2 is rho's mass, so no
+    embedding of rho is built.
+    """
+    ref = reference.amplitudes
+    rows = np.flatnonzero(ref.reshape(ref.shape[0], -1).any(axis=1))
+    support = slice(rows[0], rows[-1] + 1)
+    ref_rows = ref[support].ravel().copy()  # the full reference need not stay alive
+    basis, weight, ref_norm = reference.basis, reference.weight, reference.norm()
+
+    def overlap(rho: GridDensity) -> float:
+        if rho.geometry != basis:
+            raise BasisMismatchError(f"bases differ: {rho.geometry!r} vs {basis!r}")
+        inner = np.dot(np.sqrt(rho.values[support]).ravel(), ref_rows) * weight
+        return float(min(1.0, inner / (np.sqrt(rho.mass) * ref_norm)))
+
+    return overlap
 
 
 def _transfer_linear(values: np.ndarray, grid: GridBasis1D, r: float) -> np.ndarray:

@@ -32,7 +32,6 @@ from .geometry import (
     bounded_euclidean_distance,
     classical_divergence,
     log_abs_exp_diff,
-    overlap_magnitude,
 )
 from .series import (
     DEFAULT_THETA,
@@ -54,21 +53,21 @@ __all__ = [
 ]
 
 
-def divergence_series(times, path, reference, theta=DEFAULT_THETA):
-    """Distances and log divergences of a state path against a fixed reference.
+def divergence_series(times, overlaps, theta=DEFAULT_THETA):
+    """Distances and log divergences from the overlaps of a path with a fixed reference.
 
     Args:
-        times: strictly increasing sample times, one per state.
-        path: iterable of ProjectiveState sharing the reference's basis, consumed lazily.
-        reference: the fixed comparison state.
+        times: strictly increasing sample times, one per overlap.
+        overlaps: iterable of overlap magnitudes |<s_t, s_0>| / (||s_t|| ||s_0||)
+            in [0, 1], consumed lazily.
         theta: saturation threshold in radians, 0 <= theta < pi/2.
 
     Returns:
         (DistanceSeries, DivergenceSeries).
     """
-    overlaps = np.array([overlap_magnitude(s, reference) for s in path])
+    overlaps = np.fromiter(overlaps, dtype=float)
     if not overlaps.size:
-        raise DomainError("path must contain at least one state")
+        raise DomainError("need at least one overlap")
     with np.errstate(divide="ignore"):
         log_overlaps = np.log(overlaps)
     return series_from_log_overlaps(times, log_overlaps, theta=theta)

@@ -18,6 +18,7 @@ from . import __version__
 from .ensembles import (
     GridDensity,
     baker_map,
+    density_overlap,
     evolve_linear_analytic,
     r_adic_map,
     square_density,
@@ -38,7 +39,7 @@ from .estimators import (
     ingest_overlap_series,
     read_overlap_csv,
 )
-from .geometry import GridBasis1D, GridBasis2D, ProjectiveState
+from .geometry import GridBasis1D, GridBasis2D, ProjectiveState, overlap_magnitude
 from .quantum import GaussianState, QuadraticSystem, bvs_baker, bvs_coherent_state, gaussian_autocorrelation
 from .series import DEFAULT_THETA, series_from_log_overlaps
 from .svgplot import render_line_plot
@@ -58,22 +59,22 @@ __all__ = [
 
 def _map_system(start):
     """The series of a map system whose start(params) gives (initial state, one
-    map step, embedding into the ProjectiveState compared with the first).
-    Samples lie dt map steps apart; the generator keeps one state alive."""
+    map step, overlap of a state with the initial one).  Samples lie dt map
+    steps apart; sample 0 is the initial state, with overlap exactly 1, and
+    the generator keeps one state alive."""
 
     def series(cfg, p):
-        state, step, embed = start(p)
-        ref = embed(state)
+        state, step, overlap = start(p)
 
-        def path(state):
-            yield ref
+        def overlaps(state):
+            yield 1.0
             for _ in range(cfg.steps):
                 for _ in range(int(cfg.dt)):
                     state = step(state)
-                yield embed(state)
+                yield overlap(state)
 
         times = np.arange(cfg.steps + 1) * cfg.dt
-        return divergence_series(times, path(state), ref, theta=cfg.theta)
+        return divergence_series(times, overlaps(state), theta=cfg.theta)
 
     return series
 
@@ -81,7 +82,7 @@ def _map_system(start):
 def _r_adic_start(p):
     m = r_adic_map(p["r"])
     rho = square_density(p["init_width"], GridBasis1D(p["grid_n"], 0.0, 1.0))
-    return rho, lambda d: transfer_step(d, m), sqrt_embed
+    return rho, lambda d: transfer_step(d, m), density_overlap(sqrt_embed(rho))
 
 
 def _baker_start(p):
@@ -92,12 +93,16 @@ def _baker_start(p):
     n = 2 ** p["grid_m"]
     x = square_density(p["init_width"], GridBasis1D(n, 0.0, 1.0)).values
     rho = GridDensity(np.broadcast_to(x[:, None], (n, n)), GridBasis2D(n, n))
-    return rho, lambda d: transfer_step(d, baker_map()), sqrt_embed
+    return rho, lambda d: transfer_step(d, baker_map()), density_overlap(sqrt_embed(rho))
 
 
 def _bvs_start(p):
     psi = bvs_coherent_state(p["n_dim"], p["q0"], p["p0"], p["alpha"])
-    return psi.amplitudes, bvs_baker(p["n_dim"]), lambda amp: ProjectiveState(amp, psi.basis)
+    return (
+        psi.amplitudes,
+        bvs_baker(p["n_dim"]),
+        lambda amp: overlap_magnitude(ProjectiveState(amp, psi.basis), psi),
+    )
 
 
 def _gaussian_series(cfg, p, sign):
@@ -271,6 +276,11 @@ def _params(cfg: ExperimentConfig):
     for name, domain in narrowed.items():
         if getattr(cfg, name) is not None:
             _check(name, getattr(cfg, name), domain)
+    # an evolved series has steps + 1 samples; the estimator needs delta_index + 2
+    if cfg.system != "overlap_file" and cfg.steps <= cfg.delta_index:
+        raise ConfigError(
+            f"steps must exceed delta_index ({cfg.delta_index}), got {cfg.steps}", field="steps"
+        )
     values, applied = {}, {}
     for name, default in defaults.items():
         value = getattr(cfg, name)

@@ -65,7 +65,9 @@ def test_criterion_2_fig1a_grid_matches_analytic():
         cur = transfer_step(cur, linear_map(2.0))
         states.append(sqrt_embed(cur))
     times = np.arange(11.0)
-    dist_grid, div_grid = divergence_series(times, states, ref, theta=1e-12)
+    dist_grid, div_grid = divergence_series(
+        times, [overlap_magnitude(s, ref) for s in states], theta=1e-12
+    )
     dist_ana, div_ana = evolve_linear_analytic(2.0, 10)
     assert np.max(np.abs(dist_grid.values - dist_ana.values)) < 1e-10
     curve_grid = finite_time_p_lyapunov(div_grid)

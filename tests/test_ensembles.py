@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plyap import (
+    BasisMismatchError,
     DomainError,
     GridBasis1D,
     GridBasis2D,
@@ -12,6 +13,7 @@ from plyap import (
     MapDescriptor,
     apply_map,
     baker_map,
+    density_overlap,
     evolve_linear_analytic,
     koopman_step,
     linear_map,
@@ -89,6 +91,16 @@ class TestSquareDensity:
         with pytest.raises(InvalidStateError, match="finite and non-negative"):
             GridDensity(np.array([1.0, bad]), GridBasis1D(2, 0.0, 1.0))
 
+    def test_overflowing_mass_rejected(self):
+        with pytest.raises(InvalidStateError, match="finite mass"):
+            GridDensity(np.full(4, 1e308), GridBasis1D(4))
+
+    def test_values_are_read_only(self):
+        # the mass is computed once, at construction
+        rho = GridDensity(np.ones(4), GridBasis1D(4))
+        with pytest.raises(ValueError):
+            rho.values[0] = 5.0
+
 
 class TestSqrtEmbedding:
     def test_uniform_density_constant_amplitudes(self):
@@ -127,6 +139,38 @@ class TestSqrtEmbedding:
         assert psi.amplitudes.dtype == np.float64
         # a complex copy of the square roots alone would add two real states
         assert peak < 1.25 * rho.values.nbytes
+
+
+class TestDensityOverlap:
+    @pytest.mark.parametrize("shape", [(64,), (16, 16)])
+    def test_equals_the_embedded_overlap(self, shape):
+        rng = np.random.default_rng(7)
+        grid = GridBasis1D(64) if len(shape) == 1 else GridBasis2D(*shape)
+        ref_values = np.zeros(shape)
+        ref_values[3:9] = rng.random(ref_values[3:9].shape)
+        ref_values[5] = 0.0  # a gap inside the support
+        ref = sqrt_embed(GridDensity(ref_values, grid))
+        overlap = density_overlap(ref)
+        for _ in range(5):
+            rho = GridDensity(rng.random(shape) * rng.integers(0, 2, shape), grid)
+            expect = overlap_magnitude(sqrt_embed(rho), ref)
+            assert overlap(rho) == pytest.approx(expect, rel=1e-13)
+
+    def test_self_overlap_is_one_and_disjoint_overlap_zero(self):
+        grid = GridBasis1D(8)
+        a = np.zeros(8)
+        a[:3] = 1.0
+        b = np.zeros(8)
+        b[4:] = 2.0
+        overlap = density_overlap(sqrt_embed(GridDensity(a, grid)))
+        assert overlap(GridDensity(a, grid)) == pytest.approx(1.0, rel=1e-15)
+        assert overlap(GridDensity(a, grid)) <= 1.0
+        assert overlap(GridDensity(b, grid)) == 0.0
+
+    def test_other_grid_rejected(self):
+        overlap = density_overlap(sqrt_embed(square_density(0.5, GridBasis1D(8))))
+        with pytest.raises(BasisMismatchError):
+            overlap(square_density(0.5, GridBasis1D(16)))
 
 
 class TestLinearAnalytic:

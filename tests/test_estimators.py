@@ -19,6 +19,7 @@ from plyap import (
     finite_time_p_lyapunov,
     ingest_overlap_series,
     linear_map,
+    overlap_magnitude,
     r_adic_map,
     read_overlap_csv,
     rotation_map,
@@ -67,7 +68,7 @@ class TestDivergenceSeries:
         basis = DiscreteBasis(3)
         psi = ProjectiveState(np.array([1.0, 2.0, 0.5]), basis)
         times = np.arange(5.0)
-        dist, div = divergence_series(times, [psi] * 5, psi)
+        dist, div = divergence_series(times, [overlap_magnitude(psi, psi)] * 5)
         assert np.allclose(dist.values, 0.0)
         assert np.all(np.isneginf(div.log_values))
         with pytest.raises(DegeneratePathError):
@@ -87,7 +88,7 @@ class TestDivergenceSeries:
     def test_empty_path_rejected(self):
         psi = ProjectiveState(np.ones(2), DiscreteBasis(2))
         with pytest.raises(DomainError):
-            divergence_series(np.array([]), [], psi)
+            divergence_series(np.array([]), [])
 
 
 class TestFiniteTime:

@@ -21,6 +21,7 @@ from plyap import (
     GridDensity,
     baker_map,
     divergence_series,
+    overlap_magnitude,
     r_adic_map,
     runner,
     sqrt_embed,
@@ -200,7 +201,9 @@ class TestRun:
             for _ in range(dt):
                 rho = transfer_step(rho, r_adic_map(2))
             states.append(sqrt_embed(rho))
-        dist, div = divergence_series(np.arange(9.0) * dt, states, ref)
+        dist, div = divergence_series(
+            np.arange(9.0) * dt, [overlap_magnitude(s, ref) for s in states]
+        )
         res = run(ExperimentConfig(id="radic", system="r_adic", steps=8, dt=dt, grid_n=2**12,
                                    init_width=2.0**-6))
         assert np.array_equal(res.distance.times, dist.times)
@@ -219,15 +222,80 @@ class TestRun:
         for _ in range(8):
             rho = transfer_step(rho, baker_map())
             states.append(sqrt_embed(rho))
-        dist, div = divergence_series(np.arange(9.0), states, ref)
+        dist, div = divergence_series(np.arange(9.0), [overlap_magnitude(s, ref) for s in states])
         cfg = ExperimentConfig(id="bak", system="baker_classical", steps=8, grid_m=6,
                                init_width=cells / n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a whole-cell width does not warn
             with pytest.warns(UserWarning) if cells % 1 else contextlib.nullcontext():
                 res = run(cfg)
-        assert np.array_equal(res.distance.values, dist.values)
-        assert np.array_equal(res.divergence.log_values, div.log_values)
+        if snapped & (snapped - 1):
+            # a slab of 3 cells has irrational amplitudes: the runner sums the
+            # overlap over the support rows, in another order than a full vdot
+            np.testing.assert_allclose(
+                np.cos(res.distance.values / 2), np.cos(dist.values / 2), rtol=1e-12
+            )
+            np.testing.assert_allclose(res.divergence.log_values, div.log_values, rtol=1e-12)
+        else:
+            assert np.array_equal(res.distance.values, dist.values)
+            assert np.array_equal(res.divergence.log_values, div.log_values)
+
+    @pytest.mark.parametrize(
+        "system, params",
+        [("baker_classical", dict(grid_m=10, init_width=c / 2**10)) for c in range(1, 17)]
+        + [("r_adic", dict(r=r)) for r in (2, 3)],
+    )
+    def test_streamed_overlaps_match_the_embedded_oracle(self, system, params):
+        # the runner sums over the reference's support rows and takes the norm
+        # from the conserved mass; the oracle embeds every state on the full grid
+        cfg = ExperimentConfig(id="oracle", system=system, steps=20, **params)
+        res = run(cfg)
+        values, _ = runner._params(cfg)
+        if system == "r_adic":
+            m = r_adic_map(values["r"])
+            rho = square_density(values["init_width"], GridBasis1D(values["grid_n"]))
+        else:
+            m, n = baker_map(), 2 ** values["grid_m"]
+            x = square_density(values["init_width"], GridBasis1D(n)).values
+            rho = GridDensity(np.repeat(x[:, None], n, axis=1), GridBasis2D(n, n))
+        ref = sqrt_embed(rho)
+        overlaps = [overlap_magnitude(ref, ref)]
+        for _ in range(cfg.steps):
+            rho = transfer_step(rho, m)
+            overlaps.append(overlap_magnitude(sqrt_embed(rho), ref))
+        np.testing.assert_allclose(np.cos(res.distance.values / 2), overlaps, rtol=1e-12)
+        dist, div = divergence_series(res.distance.times, overlaps, theta=cfg.theta)
+        _, estimate, classification, t_b, _ = runner._estimate_and_classify(cfg, dist, div)
+        assert res.summary["lambda"] == pytest.approx(estimate.asymptotic_value, rel=1e-12)
+        assert res.estimate.fit_window == estimate.fit_window
+        assert (res.saturation_time, res.classification) == (t_b, classification)
+
+    @pytest.mark.parametrize(
+        "system, params",
+        [
+            ("r_adic", dict(r=3, grid_n=3**7, init_width=5 / 3**7)),
+            ("baker_classical", dict(grid_m=6, init_width=3 / 64)),
+            ("bvs_baker", dict(n_dim=96, q0=0.3, p0=0.55)),
+        ],
+    )
+    def test_first_sample_is_the_reference(self, system, params):
+        res = run(ExperimentConfig(id="zero", system=system, steps=4, **params))
+        assert res.distance.values[0] == 0.0
+        assert np.isneginf(res.divergence.log_values[0])
+
+    def test_baker_run_keeps_no_embedding_per_sample(self):
+        cfg = ExperimentConfig(id="mem", system="baker_classical", grid_m=9, steps=20)
+        run(cfg)  # the first run in a process also pays for one-off allocations
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the density a step reads and the one it writes: 8 * 512^2 bytes each.
+        # A sqrt-embedded state per sample, or a full-grid copy of the
+        # reference's embedding, would add a third
+        assert peak < 2.5 * 8 * 512**2
 
     def test_run_holds_a_constant_number_of_states(self):
         cfg = ExperimentConfig(id="mem", system="baker_classical", grid_m=9, steps=20)
@@ -512,6 +580,8 @@ _OUT_OF_DOMAIN = [
     ({"id": "x", "system": "linear", "grid_m": 5}, "grid_m"),
     ({"id": "x", "system": "baker_classical", "n_dim": 8}, "n_dim"),
     ({"id": "x", "system": "linear", "convention": "amplitude"}, "convention"),
+    ({"id": "l", "system": "linear", "steps": 1}, "steps"),
+    ({"id": "x", "system": "r_adic", "grid_n": 64, "steps": 3, "delta_index": 3}, "steps"),
 ]
 
 _JUNK = st.one_of(
