@@ -34,7 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ing = sub.add_parser("ingest", help="estimate an exponent from an overlap CSV")
     p_ing.add_argument("csv", help="CSV file with header t,overlap")
     p_ing.add_argument(
-        "--convention", choices=("amplitude", "probability"), default="amplitude"
+        "--convention", choices=("amplitude", "probability"), default=None,
+        help="overlap convention of the file (default: amplitude)",
     )
     p_ing.add_argument("--out", default="plyap-out", help="output directory")
     p_ing.add_argument("--theta", type=float, default=None, help="saturation threshold")

@@ -246,14 +246,15 @@ def ingest_overlap_series(raw: OverlapSeries, theta=DEFAULT_THETA):
 
 def read_overlap_csv(path, convention: str = "amplitude") -> OverlapSeries:
     """Read an overlap series from a CSV file with header ``t,overlap``."""
-    times, overlaps = [], []
+    # lines[k] is the file line of data row k; blank lines are skipped
+    times, overlaps, lines = [], [], []
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header[:2]] != ["t", "overlap"]:
                 raise DataFormatError(f"{path}: expected header 't,overlap', got {header!r}")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 try:
@@ -261,8 +262,10 @@ def read_overlap_csv(path, convention: str = "amplitude") -> OverlapSeries:
                     overlaps.append(float(row[1]))
                 except (IndexError, ValueError) as exc:
                     raise DataFormatError(
-                        f"{path}: malformed row at line {lineno}: {row!r}", row=lineno
+                        f"{path}: malformed row at line {reader.line_num}: {row!r}",
+                        row=reader.line_num,
                     ) from exc
+                lines.append(reader.line_num)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"{path}: cannot read: {exc}") from exc
     if not times:
@@ -270,8 +273,8 @@ def read_overlap_csv(path, convention: str = "amplitude") -> OverlapSeries:
     try:
         return OverlapSeries(np.array(times), np.array(overlaps), convention=convention)
     except DataFormatError as exc:
-        # report the offending file line (header + 1-based data rows)
-        raise DataFormatError(f"{path}: {exc} (line {exc.row + 2})", row=exc.row + 2) from exc
+        line = lines[exc.row]
+        raise DataFormatError(f"{path}: {exc} (line {line})", row=line) from exc
 
 
 def trajectory_lyapunov(

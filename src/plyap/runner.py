@@ -68,12 +68,12 @@ def _map_system(start):
 
         def overlaps(state):
             yield 1.0
-            for _ in range(cfg.steps):
-                for _ in range(int(cfg.dt)):
+            for _ in range(p["steps"]):
+                for _ in range(int(p["dt"])):
                     state = step(state)
                 yield overlap(state)
 
-        times = np.arange(cfg.steps + 1) * cfg.dt
+        times = np.arange(p["steps"] + 1) * p["dt"]
         return divergence_series(times, overlaps(state), theta=cfg.theta)
 
     return series
@@ -107,7 +107,7 @@ def _bvs_start(p):
 
 def _gaussian_series(cfg, p, sign):
     quad = QuadraticSystem(p["omega"], sign=sign)
-    times = np.arange(cfg.steps + 1) * cfg.dt
+    times = np.arange(p["steps"] + 1) * p["dt"]
     v = gaussian_autocorrelation(quad, GaussianState(p["omega0"]), times)
     with np.errstate(divide="ignore"):
         return series_from_log_overlaps(times, np.log(v), theta=cfg.theta)
@@ -146,29 +146,41 @@ _MAP = {"dt": ("a whole number of map steps > 0", lambda v: v == int(v))}
 
 # Each system once: its parameters' defaults (a value, a function of those before
 # it, or None when the config must give it), its series, and the field domains it
-# narrows.  Entries call plyap functions through this module's global names at
+# narrows.  A map or a flow samples steps + 1 times dt apart; a file brings its
+# own times.  Entries call plyap functions through this module's global names at
 # call time, so a wrapper installed on a name (the benchmark tracer) sees the call.
 _SYSTEMS = {
+    # the closed form is indexed by map step, so it takes no dt
     "linear": (
-        {"r": 2.0},
-        lambda cfg, p: evolve_linear_analytic(p["r"], cfg.steps, theta=cfg.theta),
-        {"dt": ("1 (the series samples every map step)", lambda v: v == 1)},
+        {"r": 2.0, "steps": 40},
+        lambda cfg, p: evolve_linear_analytic(p["r"], p["steps"], theta=cfg.theta),
+        {},
     ),
     "r_adic": (
-        {"r": 2, "grid_n": 2**16, "init_width": 2.0**-10},
+        {"r": 2, "grid_n": 2**16, "init_width": 2.0**-10, "steps": 40, "dt": 1.0},
         _map_system(_r_adic_start),
         {**_MAP, "r": ("an integer >= 2", lambda v: v == int(v))},
     ),
-    "baker_classical": ({"grid_m": 10, "init_width": 2.0**-8}, _map_system(_baker_start), _MAP),
+    "baker_classical": (
+        {"grid_m": 10, "init_width": 2.0**-8, "steps": 40, "dt": 1.0},
+        _map_system(_baker_start),
+        _MAP,
+    ),
     "oscillator": (
-        {"omega": None, "omega0": lambda p: p["omega"] / 2.0},
+        {"omega": None, "omega0": lambda p: p["omega"] / 2.0, "steps": 40, "dt": 1.0},
         lambda cfg, p: _gaussian_series(cfg, p, +1),
         {},
     ),
-    "barrier": ({"omega": None, "omega0": 1.0}, lambda cfg, p: _gaussian_series(cfg, p, -1), {}),
+    "barrier": (
+        {"omega": None, "omega0": 1.0, "steps": 40, "dt": 1.0},
+        lambda cfg, p: _gaussian_series(cfg, p, -1),
+        {},
+    ),
+    # the default packet sits on the period-2 orbit {(1/3, 2/3), (2/3, 1/3)}, so
+    # it is sampled every second map step, up to past its floor near log2(N)
     "bvs_baker": (
         {"n_dim": 1800, "q0": 1.0 / 3.0, "p0": 2.0 / 3.0,
-         "alpha": lambda p: 1.0 / (2.0 * np.pi * p["n_dim"])},
+         "alpha": lambda p: 1.0 / (2.0 * np.pi * p["n_dim"]), "steps": 12, "dt": 2.0},
         _map_system(_bvs_start),
         _MAP,
     ),
@@ -194,13 +206,15 @@ class ExperimentConfig:
 
     A field that is set must lie in its domain (text, test) and in any narrower
     domain its system declares, and a system parameter may be set only for a
-    system that takes it; otherwise construction raises ConfigError."""
+    system that takes it; otherwise construction raises ConfigError.  A
+    parameter left out stays None here: a run takes its system's default and
+    records it under the summary's defaults_applied."""
 
     id: str = _field(_NAME)
     system: str = _field(_one_of(*_SYSTEMS))
-    steps: int = _field(_COUNT, 40)
-    dt: float = _field(_POSITIVE, 1.0)
     # system parameters; each system takes only those its _SYSTEMS entry names
+    steps: int | None = _field(_COUNT, None)
+    dt: float | None = _field(_POSITIVE, None)
     r: float | None = _field(("> 1", lambda v: _number(v) and v > 1.0), None)
     init_width: float | None = _field(("in (0, 1]", lambda v: _number(v) and 0.0 < v <= 1.0), None)
     grid_n: int | None = _field(_COUNT, None)
@@ -276,11 +290,6 @@ def _params(cfg: ExperimentConfig):
     for name, domain in narrowed.items():
         if getattr(cfg, name) is not None:
             _check(name, getattr(cfg, name), domain)
-    # an evolved series has steps + 1 samples; the estimator needs delta_index + 2
-    if cfg.system != "overlap_file" and cfg.steps <= cfg.delta_index:
-        raise ConfigError(
-            f"steps must exceed delta_index ({cfg.delta_index}), got {cfg.steps}", field="steps"
-        )
     values, applied = {}, {}
     for name, default in defaults.items():
         value = getattr(cfg, name)
@@ -289,6 +298,12 @@ def _params(cfg: ExperimentConfig):
                 raise ConfigError(f"{cfg.system} needs {name}", field=name)
             value = applied[name] = default(values) if callable(default) else default
         values[name] = value
+    # an evolved series has steps + 1 samples; the estimator needs delta_index + 2
+    if "steps" in values and values["steps"] <= cfg.delta_index:
+        raise ConfigError(
+            f"steps must exceed delta_index ({cfg.delta_index}), got {values['steps']}",
+            field="steps",
+        )
     return values, applied
 
 
@@ -461,8 +476,8 @@ _FIGURES = {
     "fig1a": (
         [
             ExperimentConfig(
-                id=f"fig1a-r{r}", system="linear", r=float(r),
-                steps=40, dt=1.0, theta=0.0, window=(10.0, None),
+                id=f"fig1a-r{r}", system="linear", r=float(r), steps=40, theta=0.0,
+                window=(10.0, None),
             )
             for r in (2, 3, 5)
         ],
@@ -490,9 +505,7 @@ _FIGURES = {
     "fig2a": (
         [
             ExperimentConfig(
-                id="fig2a-bvs-n1800", system="bvs_baker", n_dim=1800,
-                q0=1.0 / 3.0, p0=2.0 / 3.0, alpha=1.0 / (2.0 * np.pi * 1800),
-                steps=12, dt=2.0, theta=0.1, window=(0.0, None),
+                id="fig2a-bvs-n1800", system="bvs_baker", theta=0.1, window=(0.0, None),
             ),
         ],
         [("ln(2)/2", _LN2_HALF)],
@@ -518,9 +531,10 @@ def figure(fig_id: str, out_dir) -> list:
     return results
 
 
-def ingest(path, convention: str = "amplitude", out_dir=None, **estimator_kwargs) -> ExperimentResult:
+def ingest(path, convention: str | None = None, out_dir=None, **estimator_kwargs) -> ExperimentResult:
     """Full estimator pipeline on an external overlap CSV.
 
+    A convention of None takes the overlap_file system's default.
     estimator_kwargs are further config fields (theta, window, ...); an
     unknown one raises ConfigError naming it."""
     stem = _UNSAFE.sub("_", Path(path).stem) or "ingest"

@@ -311,6 +311,19 @@ class TestOverlapCsv:
         assert f"time {float(time)} at row 2" in str(err.value)
         assert "(line 4)" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("t,overlap\n\n0,1.0\n\n1,2.0\n", 5), ("t,overlap\n0,1.0\n\n1,0.5\n\n1,0.25\n", 6)],
+        ids=["overlap", "time"],
+    )
+    def test_blank_lines_keep_the_file_line(self, tmp_path, text, line):
+        p = tmp_path / "blank.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError) as err:
+            read_overlap_csv(p)
+        assert err.value.row == line
+        assert f"(line {line})" in str(err.value)
+
     def test_overflowing_time_span_reports_last_line(self, tmp_path):
         # each time is finite and increasing, but t[-1] - t[0] is not a double
         p = tmp_path / "span.csv"

@@ -1,5 +1,7 @@
-"""The README's library names resolve and its Library example runs."""
+"""The README's library names resolve, its config example loads and its
+Library example runs."""
 
+import json
 import re
 from pathlib import Path
 
@@ -21,3 +23,8 @@ def test_library_example_runs():
     exec(compile(block, "README.md", "exec"), scope)
     assert scope["est"].asymptotic_value > 0.0
     assert scope["t_b"] is not None
+
+
+def test_config_example_loads():
+    block = re.search(r"```json\n(.*?)```", README, re.S).group(1)
+    assert plyap.ExperimentConfig.from_dict(json.loads(block)).system == "barrier"

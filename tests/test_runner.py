@@ -175,6 +175,11 @@ class TestRun:
         ))
         assert 0.29 <= res.summary["lambda"] <= 0.40
 
+    def test_bvs_baker_default_packet(self):
+        # sampled every map step, the period-2 packet would saturate at t = 1
+        res = run(ExperimentConfig(id="d", system="bvs_baker"))
+        assert 0.29 <= res.summary["lambda"] <= 0.40
+
     @pytest.mark.parametrize(
         "system, params, map_steps",
         [
@@ -318,6 +323,14 @@ class TestRun:
         res = ingest(p, convention="probability", out_dir=tmp_path, theta=0.0)
         assert res.classification == "unstable"
         assert res.summary["lambda"] == pytest.approx(0.017, rel=0.05)
+
+    def test_ingest_records_the_default_convention(self, tmp_path):
+        p = tmp_path / "series.csv"
+        p.write_text("t,overlap\n" + "".join(f"{k},{math.exp(-0.02 * k)}\n" for k in range(100)))
+        res = ingest(p)
+        assert res.summary["config"]["convention"] is None
+        assert res.summary["provenance"]["defaults_applied"]["convention"] == "amplitude"
+        assert res.summary["lambda"] == ingest(p, convention="amplitude").summary["lambda"]
 
     def test_constant_overlap_file_is_stable(self, tmp_path):
         p = tmp_path / "const.csv"
@@ -574,6 +587,9 @@ _OUT_OF_DOMAIN = [
     ({"id": "x", "system": "linear", "window": [30, 5]}, "window"),
     ({"id": "x", "system": "linear", "steps": 4, "dt": 0.5}, "dt"),
     ({"id": "x", "system": "linear", "steps": 4, "dt": 2}, "dt"),
+    ({"id": "x", "system": "linear", "dt": 1}, "dt"),
+    ({"id": "x", "system": "overlap_file", "path": "series.csv", "steps": 4}, "steps"),
+    ({"id": "x", "system": "overlap_file", "path": "series.csv", "dt": 1.0}, "dt"),
     ({"id": ".", "system": "linear"}, "id"),
     ({"id": "..", "system": "linear"}, "id"),
     ({"id": "a\x00b", "system": "linear", "steps": 5}, "id"),
@@ -592,12 +608,11 @@ _JUNK = st.one_of(
     st.text(max_size=3),
     st.lists(st.integers(-3, 3), max_size=3),
 )
-_SYSTEM_NAMES = [
-    "linear", "r_adic", "baker_classical", "oscillator", "barrier", "bvs_baker", "overlap_file",
-]
+_SYSTEM_NAMES = sorted(runner._SYSTEMS)
 # mostly in-domain values at small sizes; a size left out would fall back to a
 # large default, so a system's size is always given
 _SIZES = {
+    "steps": st.integers(1, 12),
     "grid_n": st.integers(1, 256),
     "grid_m": st.integers(1, 6),
     "n_dim": st.integers(1, 32).map(lambda k: 2 * k),
@@ -610,11 +625,11 @@ _PARAMETERS = {
     "q0": st.floats(0.0, 0.99),
     "p0": st.floats(0.0, 0.99),
     "alpha": st.floats(1e-3, 1.0),
+    "dt": st.sampled_from([1, 2, 1.0, 0.5, 0.05]),
     "path": st.sampled_from(["series.csv", "missing.csv", "."]),
     "convention": st.sampled_from(["amplitude", "probability"]),
 }
 _SETTINGS = {
-    "dt": st.sampled_from([1, 2, 1.0, 0.5, 0.05]),
     "theta": st.floats(0.0, 1.5),
     "delta_index": st.integers(1, 4),
     "window": st.lists(st.one_of(st.none(), st.floats(-5.0, 20.0)), min_size=2, max_size=2),
@@ -629,8 +644,7 @@ def _system_configs(system):
         return {k: v for k, v in strategies.items() if k in runner._SYSTEMS[system][0]}
 
     return st.fixed_dictionaries(
-        {"id": st.sampled_from(["run", "a-1"]), "system": st.just(system),
-         "steps": st.integers(1, 12), **own(_SIZES)},
+        {"id": st.sampled_from(["run", "a-1"]), "system": st.just(system), **own(_SIZES)},
         optional={**_SETTINGS, **own(_PARAMETERS)},
     )
 
@@ -680,7 +694,7 @@ def _with_examples(test):
     for cfg, _ in _OUT_OF_DOMAIN:
         test = example(cfg, None)(test)
     for path in ("series.csv", "missing.csv", "."):
-        test = example({"id": "run", "system": "overlap_file", "path": path, "steps": 4}, None)(test)
+        test = example({"id": "run", "system": "overlap_file", "path": path}, None)(test)
     return test
 
 
