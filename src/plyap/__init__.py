@@ -29,7 +29,6 @@ from .geometry import (
 )
 from .series import (
     DEFAULT_THETA,
-    DistanceSeries,
     DivergenceSeries,
     ExponentEstimate,
     OverlapSeries,

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure
+(an array too large to allocate included).
 """
 
 import argparse
@@ -81,7 +82,7 @@ def main(argv=None) -> int:
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except PlyapError as exc:
+    except (PlyapError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

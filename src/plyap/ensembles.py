@@ -284,13 +284,13 @@ def koopman_step(state: ProjectiveState, m: MapDescriptor) -> ProjectiveState:
 
 
 def evolve_linear_analytic(r: float, n: int, theta: float = 0.0):
-    """Closed-form distance/divergence series for the stretching map x -> r x.
+    """Closed-form DivergenceSeries of the stretching map x -> r x.
 
     A square density of any width b evolves to width b r^k, so the overlap
     with the initial embedding is r^(-k/2); computed in the log domain so
     arbitrarily long series stay exact.
 
-    Returns (DistanceSeries, DivergenceSeries) for k = 0..n.
+    Returns the series for k = 0..n.
     """
     if not r > 1.0:
         raise DomainError("linear map needs r > 1")

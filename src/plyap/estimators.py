@@ -16,6 +16,7 @@ widening of a short automatic window to four points.
 """
 
 import csv
+from array import array
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .geometry import (
 )
 from .series import (
     DEFAULT_THETA,
-    DistanceSeries,
     DivergenceSeries,
     ExponentEstimate,
     OverlapSeries,
@@ -54,7 +54,7 @@ __all__ = [
 
 
 def divergence_series(times, overlaps, theta=DEFAULT_THETA):
-    """Distances and log divergences from the overlaps of a path with a fixed reference.
+    """The DivergenceSeries of a path from its overlaps with a fixed reference.
 
     Args:
         times: strictly increasing sample times, one per overlap.
@@ -63,7 +63,7 @@ def divergence_series(times, overlaps, theta=DEFAULT_THETA):
         theta: saturation threshold in radians, 0 <= theta < pi/2.
 
     Returns:
-        (DistanceSeries, DivergenceSeries).
+        DivergenceSeries.
     """
     overlaps = np.fromiter(overlaps, dtype=float)
     if not overlaps.size:
@@ -206,7 +206,7 @@ def asymptotic_estimate(
     )
 
 
-def detect_saturation(dist: DistanceSeries):
+def detect_saturation(div: DivergenceSeries):
     """Plateau time t_b: where the distance stops growing.
 
     The earlier of two events: the first sample flagged saturated
@@ -218,22 +218,22 @@ def detect_saturation(dist: DistanceSeries):
     enters the theta band and leaves it again, as the overlap of a slab
     under the grid baker does.  Returns None when neither event occurs.
     """
-    v = dist.values
+    v = div.distances
     n = v.size
-    flagged = np.flatnonzero(dist.saturated)
+    flagged = np.flatnonzero(div.saturated)
     ends = [int(flagged[0])] if flagged.size else []
     plateau = float(np.median(v[-max(3, n // 4):]))
-    within = np.abs(v - plateau) <= dist.saturation_threshold
+    within = np.abs(v - plateau) <= div.saturation_threshold
     if within[-1]:
         misses = np.where(~within)[0]
         first = int(misses[-1]) + 1 if misses.size else 0
         if n - first >= 3:
             ends.append(first)
-    return float(dist.times[min(ends)]) if ends else None
+    return float(div.times[min(ends)]) if ends else None
 
 
 def ingest_overlap_series(raw: OverlapSeries, theta=DEFAULT_THETA):
-    """Convert an external overlap series into distance/divergence series.
+    """Convert an external overlap series into its DivergenceSeries.
 
     The distance is 2 arccos(v) with v the amplitude overlap: v = O under the
     amplitude convention, v = sqrt(O) under the probability convention.
@@ -247,7 +247,7 @@ def ingest_overlap_series(raw: OverlapSeries, theta=DEFAULT_THETA):
 def read_overlap_csv(path, convention: str = "amplitude") -> OverlapSeries:
     """Read an overlap series from a CSV file with header ``t,overlap``."""
     # lines[k] is the file line of data row k; blank lines are skipped
-    times, overlaps, lines = [], [], []
+    times, overlaps, lines = array("d"), array("d"), array("l")
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)

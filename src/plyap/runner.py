@@ -41,7 +41,7 @@ from .estimators import (
 )
 from .geometry import GridBasis1D, GridBasis2D, ProjectiveState, overlap_magnitude
 from .quantum import GaussianState, QuadraticSystem, bvs_baker, bvs_coherent_state, gaussian_autocorrelation
-from .series import DEFAULT_THETA, series_from_log_overlaps
+from .series import DEFAULT_THETA
 from .svgplot import render_line_plot
 
 __all__ = [
@@ -109,8 +109,7 @@ def _gaussian_series(cfg, p, sign):
     quad = QuadraticSystem(p["omega"], sign=sign)
     times = np.arange(p["steps"] + 1) * p["dt"]
     v = gaussian_autocorrelation(quad, GaussianState(p["omega0"]), times)
-    with np.errstate(divide="ignore"):
-        return series_from_log_overlaps(times, np.log(v), theta=cfg.theta)
+    return divergence_series(times, v, theta=cfg.theta)
 
 
 def _read_series(cfg, p):
@@ -191,12 +190,17 @@ _PARAMS = dict.fromkeys(name for defaults, _, _ in _SYSTEMS.values() for name in
 
 _POSITIVE = ("> 0", lambda v: _number(v) and v > 0.0)
 _COUNT = ("an integer >= 1", lambda v: _number(v, int) and v >= 1)
+# a size enters as a double (1/n, k dt, 1/(2 pi N)), so it may not pass 2^53;
+# grid_m is the log2 of one
+_SIZE = ("an integer in [1, 2^53]", lambda v: _number(v, int) and 1 <= v <= 2**53)
+_LOG2_SIZE = ("an integer in [1, 53]", lambda v: _number(v, int) and 1 <= v <= 53)
 _UNIT = ("in [0, 1)", lambda v: _number(v) and 0.0 <= v < 1.0)
 # whitespace, path separators and NUL would make an id unsafe as a directory name
 _UNSAFE = re.compile(r"[\s/\\\x00]")
 _NAME = ("a filesystem-safe name", lambda v: isinstance(v, str) and v not in ("", ".", "..")
          and not _UNSAFE.search(v))
-_EVEN = ("an even integer >= 2", lambda v: _number(v, int) and v % 2 == 0 and v >= 2)
+_EVEN = ("an even integer in [2, 2^53]",
+         lambda v: _number(v, int) and v % 2 == 0 and 2 <= v <= 2**53)
 _ANGLE = ("in [0, pi/2)", lambda v: _number(v) and 0.0 <= v < np.pi / 2)
 
 
@@ -213,12 +217,12 @@ class ExperimentConfig:
     id: str = _field(_NAME)
     system: str = _field(_one_of(*_SYSTEMS))
     # system parameters; each system takes only those its _SYSTEMS entry names
-    steps: int | None = _field(_COUNT, None)
+    steps: int | None = _field(_SIZE, None)
     dt: float | None = _field(_POSITIVE, None)
     r: float | None = _field(("> 1", lambda v: _number(v) and v > 1.0), None)
     init_width: float | None = _field(("in (0, 1]", lambda v: _number(v) and 0.0 < v <= 1.0), None)
-    grid_n: int | None = _field(_COUNT, None)
-    grid_m: int | None = _field(_COUNT, None)
+    grid_n: int | None = _field(_SIZE, None)
+    grid_m: int | None = _field(_LOG2_SIZE, None)
     omega: float | None = _field(_POSITIVE, None)
     omega0: float | None = _field(_POSITIVE, None)
     n_dim: int | None = _field(_EVEN, None)
@@ -265,7 +269,6 @@ def _config_hash(config_dict: dict) -> str:
 @dataclass(eq=False)
 class ExperimentResult:
     config: ExperimentConfig
-    distance: object
     divergence: object
     curve: np.ndarray
     estimate: object | None
@@ -307,9 +310,9 @@ def _params(cfg: ExperimentConfig):
     return values, applied
 
 
-def _estimate_and_classify(cfg: ExperimentConfig, dist, div):
+def _estimate_and_classify(cfg: ExperimentConfig, div):
     """Shared estimator pipeline: plateau detection, fit, classification."""
-    t_b = detect_saturation(dist)
+    t_b = detect_saturation(div)
     curve = np.empty((0, 2))
     estimate = None
     detail = None
@@ -410,8 +413,8 @@ def validate_summary(doc: dict):
 def run(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Execute one experiment; write CSVs and summary.json when out_dir is given."""
     params, defaults = _params(config)
-    dist, div = _SYSTEMS[config.system][1](config, params)
-    curve, estimate, classification, t_b, detail = _estimate_and_classify(config, dist, div)
+    div = _SYSTEMS[config.system][1](config, params)
+    curve, estimate, classification, t_b, detail = _estimate_and_classify(config, div)
 
     config_dict = config.to_dict()
     summary = {
@@ -435,7 +438,6 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
     result = ExperimentResult(
         config=config,
-        distance=dist,
         divergence=div,
         curve=curve,
         estimate=estimate,
@@ -453,10 +455,9 @@ def _write_result(result: ExperimentResult, out_dir: Path) -> Path:
     exp_dir = out_dir / result.config.id
     exp_dir.mkdir(parents=True, exist_ok=True)
     h = result.summary["config_hash"]
-    dist, div = result.distance, result.divergence
-    # series_from_log_overlaps gives both series the same times and saturated flags
-    t, sat = _column(dist.times), _column(dist.saturated)
-    _write_csv(exp_dir / "distance.csv", h, "t,d_p,saturated", t, _column(dist.values), sat)
+    div = result.divergence
+    t, sat = _column(div.times), _column(div.saturated)
+    _write_csv(exp_dir / "distance.csv", h, "t,d_p,saturated", t, _column(div.distances), sat)
     _write_csv(
         exp_dir / "divergence.csv", h, "t,log_divergence,saturated", t, _column(div.log_values), sat
     )
@@ -620,7 +621,7 @@ def selftest() -> int:
         )
 
     def linear_exponent():
-        _, div = evolve_linear_analytic(2.0, 40)
+        div = evolve_linear_analytic(2.0, 40)
         est = asymptotic_estimate(div, window=(10.0, 39.0))
         return abs(est.asymptotic_value / _LN2_HALF - 1.0) < 0.01
 

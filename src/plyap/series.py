@@ -1,4 +1,4 @@
-"""Time-indexed distance, divergence and overlap series."""
+"""Time-indexed divergence and overlap series."""
 
 from dataclasses import dataclass, field
 
@@ -9,7 +9,6 @@ from .geometry import log_projective_divergence
 
 __all__ = [
     "DEFAULT_THETA",
-    "DistanceSeries",
     "DivergenceSeries",
     "OverlapSeries",
     "ExponentEstimate",
@@ -31,62 +30,40 @@ def _as_times(times) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DistanceSeries:
-    """Ray-space distances d_P(t) to a fixed reference, with saturation flags.
+class DivergenceSeries:
+    """One path: distances d_P(t) to a fixed reference and ln of their
+    divergence d_P/(pi - d_P), with saturation flags.
 
-    Entries with d_P > pi - theta are flagged saturated; theta = 0 disables
-    flagging (appropriate for closed-form series that never plateau).
+    Entries with d_P > pi - theta are flagged saturated, so theta = 0 flags
+    none (appropriate for closed-form series that never plateau).  A log
+    value of -inf marks coincident rays.
     """
 
     times: np.ndarray
-    values: np.ndarray
+    distances: np.ndarray
+    log_values: np.ndarray
     saturation_threshold: float = DEFAULT_THETA
     saturated: np.ndarray = field(init=False)
 
     def __post_init__(self):
         t = _as_times(self.times)
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != t.shape:
-            raise DomainError("values and times must have the same length")
-        if np.any(v < -1e-12) or np.any(v > np.pi + 1e-12):
+        d = np.asarray(self.distances, dtype=float)
+        lv = np.asarray(self.log_values, dtype=float)
+        if d.shape != t.shape or lv.shape != t.shape:
+            raise DomainError("distances/log_values must match times in length")
+        if np.any(d < -1e-12) or np.any(d > np.pi + 1e-12):
             raise DomainError("distances must lie in [0, pi]")
+        if np.any(np.isnan(lv)):
+            raise DomainError("log divergence values must not be NaN")
         theta = float(self.saturation_threshold)
         if not 0.0 <= theta < np.pi / 2:
             raise DomainError("saturation threshold must lie in [0, pi/2)")
-        v = np.clip(v, 0.0, np.pi)
-        sat = (v > np.pi - theta) if theta > 0.0 else np.zeros(t.shape, dtype=bool)
+        d = np.clip(d, 0.0, np.pi)
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "saturation_threshold", theta)
-        object.__setattr__(self, "saturated", sat)
-
-    def __len__(self):
-        return self.times.size
-
-
-@dataclass(frozen=True, eq=False)
-class DivergenceSeries:
-    """ln of the divergence d_P/(pi - d_P) per time; -inf marks coincident rays.
-
-    Saturated flags are copied from the source DistanceSeries; log values are
-    finite at unsaturated points except the coincident-ray sentinel.
-    """
-
-    times: np.ndarray
-    log_values: np.ndarray
-    saturated: np.ndarray
-
-    def __post_init__(self):
-        t = _as_times(self.times)
-        lv = np.asarray(self.log_values, dtype=float)
-        sat = np.asarray(self.saturated, dtype=bool)
-        if lv.shape != t.shape or sat.shape != t.shape:
-            raise DomainError("log_values/saturated must match times in length")
-        if np.any(np.isnan(lv)):
-            raise DomainError("log divergence values must not be NaN")
-        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "distances", d)
         object.__setattr__(self, "log_values", lv)
-        object.__setattr__(self, "saturated", sat)
+        object.__setattr__(self, "saturation_threshold", theta)
+        object.__setattr__(self, "saturated", d > np.pi - theta)
 
     def __len__(self):
         return self.times.size
@@ -158,17 +135,11 @@ class ExponentEstimate:
 
 
 def series_from_log_overlaps(times, log_overlaps, theta=DEFAULT_THETA):
-    """Build the (DistanceSeries, DivergenceSeries) pair from ln overlaps.
+    """The DivergenceSeries of a path from its ln overlaps with the reference.
 
     The distance is 2 arccos(v); the log divergence goes through the
     log-domain path so underflowing overlaps stay usable.
     """
-    t = _as_times(times)
     lv = np.minimum(np.asarray(log_overlaps, dtype=float), 0.0)
-    if lv.shape != t.shape:
-        raise DomainError("log_overlaps and times must have the same length")
-    v = np.exp(lv)
-    d = 2.0 * np.arccos(np.clip(v, 0.0, 1.0))
-    dist = DistanceSeries(t, d, saturation_threshold=theta)
-    div = DivergenceSeries(t, log_projective_divergence(lv), saturated=dist.saturated)
-    return dist, div
+    d = 2.0 * np.arccos(np.exp(lv))
+    return DivergenceSeries(times, d, log_projective_divergence(lv), saturation_threshold=theta)

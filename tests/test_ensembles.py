@@ -175,18 +175,18 @@ class TestDensityOverlap:
 
 class TestLinearAnalytic:
     def test_starts_at_zero(self):
-        dist, _ = evolve_linear_analytic(2.0, 5)
-        assert dist.values[0] == 0.0
+        div = evolve_linear_analytic(2.0, 5)
+        assert div.distances[0] == 0.0
 
     def test_two_steps_r2(self):
-        dist, _ = evolve_linear_analytic(2.0, 2)
-        assert dist.values[2] == pytest.approx(2 * np.pi / 3, abs=1e-14)
+        div = evolve_linear_analytic(2.0, 2)
+        assert div.distances[2] == pytest.approx(2 * np.pi / 3, abs=1e-14)
 
     def test_deep_tail_matches_arcsin_expansion(self):
         # pi - d_P = 2 arcsin(v) = 2v + v^3/3 + ... with v = 5^{-10}
-        dist, _ = evolve_linear_analytic(5.0, 20)
+        div = evolve_linear_analytic(5.0, 20)
         v = 5.0**-10
-        assert abs((np.pi - dist.values[20]) - 2 * v) < v**2
+        assert abs((np.pi - div.distances[20]) - 2 * v) < v**2
 
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
@@ -273,12 +273,12 @@ class TestTransferStep:
         grid = GridBasis1D(2**14, 0.0, 2.0**10)
         rho = square_density(1.0, grid)
         ref = sqrt_embed(rho)
-        dist, _ = evolve_linear_analytic(2.0, 10)
+        div = evolve_linear_analytic(2.0, 10)
         cur = rho
         for k in range(1, 11):
             cur = transfer_step(cur, linear_map(2.0))
             d = 2 * np.arccos(overlap_magnitude(sqrt_embed(cur), ref))
-            assert abs(d - dist.values[k]) < 1e-10
+            assert abs(d - div.distances[k]) < 1e-10
 
 
 class TestMixingLimit:

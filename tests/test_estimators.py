@@ -5,7 +5,6 @@ from plyap import (
     DataFormatError,
     DegeneratePathError,
     DiscreteBasis,
-    DistanceSeries,
     DivergenceSeries,
     DomainError,
     InsufficientDataError,
@@ -41,20 +40,20 @@ def oscillator_divergence(omega=2.0, omega0=1.0, dt=0.05, steps=1200):
 class TestSeriesTypes:
     def test_times_must_increase(self):
         with pytest.raises(DomainError):
-            DistanceSeries(np.array([0.0, 0.0, 1.0]), np.zeros(3))
+            DivergenceSeries(np.array([0.0, 0.0, 1.0]), np.zeros(3), np.zeros(3))
 
     def test_values_must_be_in_range(self):
         with pytest.raises(DomainError):
-            DistanceSeries(np.array([0.0, 1.0]), np.array([0.0, 4.0]))
+            DivergenceSeries(np.array([0.0, 1.0]), np.array([0.0, 4.0]), np.zeros(2))
 
     def test_saturation_flags(self):
-        d = DistanceSeries(
-            np.arange(4.0), np.array([0.0, 1.0, np.pi - 0.01, np.pi]), 0.05
+        d = DivergenceSeries(
+            np.arange(4.0), np.array([0.0, 1.0, np.pi - 0.01, np.pi]), np.zeros(4), 0.05
         )
         assert list(d.saturated) == [False, False, True, True]
 
     def test_theta_zero_disables_flagging(self):
-        d = DistanceSeries(np.arange(2.0), np.array([0.0, np.pi]), 0.0)
+        d = DivergenceSeries(np.arange(2.0), np.array([0.0, np.pi]), np.array([-np.inf, np.inf]), 0.0)
         assert not d.saturated.any()
 
     def test_overlap_series_rejects_out_of_range(self):
@@ -68,21 +67,21 @@ class TestDivergenceSeries:
         basis = DiscreteBasis(3)
         psi = ProjectiveState(np.array([1.0, 2.0, 0.5]), basis)
         times = np.arange(5.0)
-        dist, div = divergence_series(times, [overlap_magnitude(psi, psi)] * 5)
-        assert np.allclose(dist.values, 0.0)
+        div = divergence_series(times, [overlap_magnitude(psi, psi)] * 5)
+        assert np.allclose(div.distances, 0.0)
         assert np.all(np.isneginf(div.log_values))
         with pytest.raises(DegeneratePathError):
             finite_time_p_lyapunov(div)
 
     def test_linear_map_distance_formula(self):
-        dist, _ = evolve_linear_analytic(2.0, 12)
+        div = evolve_linear_analytic(2.0, 12)
         n = np.arange(13)
-        assert np.allclose(dist.values, 2 * np.arccos(2.0 ** (-n / 2)), atol=1e-12)
+        assert np.allclose(div.distances, 2 * np.arccos(2.0 ** (-n / 2)), atol=1e-12)
 
     def test_two_steps_r2_divergence_is_two(self):
         # d_P = 2 arccos(1/2) = 2pi/3, divergence = (2pi/3)/(pi/3) = 2
-        dist, div = evolve_linear_analytic(2.0, 2)
-        assert dist.values[2] == pytest.approx(2 * np.pi / 3, abs=1e-14)
+        div = evolve_linear_analytic(2.0, 2)
+        assert div.distances[2] == pytest.approx(2 * np.pi / 3, abs=1e-14)
         assert np.exp(div.log_values[2]) == pytest.approx(2.0, rel=1e-12)
 
     def test_empty_path_rejected(self):
@@ -94,12 +93,12 @@ class TestDivergenceSeries:
 class TestFiniteTime:
     def test_linear_map_converges_to_half_rate(self):
         # the pointwise curve carries an O(1/t) tail, so convergence needs t
-        _, div = evolve_linear_analytic(2.0, 200)
+        div = evolve_linear_analytic(2.0, 200)
         curve = finite_time_p_lyapunov(div)
         assert curve[-1, 1] == pytest.approx(LN2_HALF, rel=0.01)
 
     def test_oscillator_decays_like_inverse_time(self):
-        _, div = oscillator_divergence()
+        div = oscillator_divergence()
         curve = finite_time_p_lyapunov(div)
         t, lam = curve[:, 0], curve[:, 1]
         # 1/t envelope: the scaled curve t*lam stays bounded while lam shrinks
@@ -114,12 +113,12 @@ class TestFiniteTime:
         # an asymptotic exponent of exactly 0.017 (closed-form construction)
         t = np.arange(801.0)
         raw = OverlapSeries(t, np.exp(-2 * 0.017 * t), convention="probability")
-        _, div = ingest_overlap_series(raw)
+        div = ingest_overlap_series(raw)
         est = asymptotic_estimate(div)
         assert est.asymptotic_value == pytest.approx(0.017, rel=0.05)
 
     def test_insufficient_points(self):
-        _, div = evolve_linear_analytic(2.0, 2)
+        div = evolve_linear_analytic(2.0, 2)
         with pytest.raises(InsufficientDataError):
             finite_time_p_lyapunov(div, delta_index=2)
 
@@ -127,13 +126,13 @@ class TestFiniteTime:
 class TestAsymptoticEstimate:
     @pytest.mark.parametrize("r", [2, 3, 5])
     def test_linear_maps_half_rate(self, r):
-        _, div = evolve_linear_analytic(float(r), 40)
+        div = evolve_linear_analytic(float(r), 40)
         est = asymptotic_estimate(div, window=(10.0, 39.0))
         assert est.asymptotic_value == pytest.approx(np.log(r) / 2, rel=0.01)
 
     @pytest.mark.parametrize("r", [2, 3, 5])
     def test_error_decreases_with_window_start(self, r):
-        _, div = evolve_linear_analytic(float(r), 60)
+        div = evolve_linear_analytic(float(r), 60)
         errs = []
         for start in (5.0, 15.0, 25.0):
             est = asymptotic_estimate(div, window=(start, 59.0))
@@ -142,25 +141,27 @@ class TestAsymptoticEstimate:
 
     def test_constant_series_degenerate(self):
         t = np.arange(10.0)
-        dist, div = series_from_log_overlaps(t, np.full(10, -0.3))
+        div = series_from_log_overlaps(t, np.full(10, -0.3))
         with pytest.raises(DegeneratePathError):
             asymptotic_estimate(div)
 
     def test_scale_invariance_of_regression(self):
-        _, div = evolve_linear_analytic(3.0, 30)
+        div = evolve_linear_analytic(3.0, 30)
         est0 = asymptotic_estimate(div)
         for c in (1e-6, 10.0, 1e8):
             shifted = DivergenceSeries(
-                div.times, div.log_values + np.log(c), div.saturated
+                div.times, div.distances, div.log_values + np.log(c), div.saturation_threshold
             )
             est = asymptotic_estimate(shifted)
             assert abs(est.asymptotic_value - est0.asymptotic_value) < 1e-12
 
     def test_time_unit_covariance(self):
-        _, div = evolve_linear_analytic(2.0, 40)
+        div = evolve_linear_analytic(2.0, 40)
         est0 = asymptotic_estimate(div)
         for s in (0.25, 4.0):
-            scaled = DivergenceSeries(div.times * s, div.log_values, div.saturated)
+            scaled = DivergenceSeries(
+                div.times * s, div.distances, div.log_values, div.saturation_threshold
+            )
             est = asymptotic_estimate(scaled)
             assert est.asymptotic_value * s == pytest.approx(
                 est0.asymptotic_value, rel=1e-12
@@ -171,12 +172,15 @@ class TestAsymptoticEstimate:
         lam = 0.4
         log_v = -lam * t
         # corrupt the tail, then flag it saturated: the fit must not see it
-        log_div_clean = series_from_log_overlaps(t, log_v, theta=0.0)[1].log_values
-        corrupted = log_div_clean.copy()
+        clean = series_from_log_overlaps(t, log_v, theta=0.0)
+        corrupted = clean.log_values.copy()
         corrupted[20:] = 0.0
         sat = np.zeros(30, dtype=bool)
         sat[20:] = True
-        div = DivergenceSeries(t, corrupted, sat)
+        d = clean.distances.copy()
+        d[20:] = np.pi
+        div = DivergenceSeries(t, d, corrupted, 1e-9)
+        assert np.array_equal(div.saturated, sat)
         est = asymptotic_estimate(div)
         assert est.asymptotic_value == pytest.approx(lam, rel=0.02)
         assert est.fit_window[1] <= t[19]
@@ -185,7 +189,7 @@ class TestAsymptoticEstimate:
     def test_open_end_stops_half_a_step_before_the_plateau(self, start):
         # theta = 0 flags nothing saturated, so only saturation_time can end the fit early
         t = np.arange(0.0, 10.0, 0.5)
-        _, div = series_from_log_overlaps(t, -0.3 * t, theta=0.0)
+        div = series_from_log_overlaps(t, -0.3 * t, theta=0.0)
         open_end = asymptotic_estimate(div, window=(start, None))
         assert open_end.fit_window[1] == t[-2]
         est = asymptotic_estimate(div, window=(start, None), saturation_time=6.0)
@@ -196,7 +200,7 @@ class TestAsymptoticEstimate:
         assert asymptotic_estimate(div, window=(1.0, 8.0), saturation_time=6.0).fit_window == (1.0, 8.0)
 
     def test_explicit_window_needs_four_points(self):
-        _, div = evolve_linear_analytic(2.0, 40)
+        div = evolve_linear_analytic(2.0, 40)
         with pytest.raises(InsufficientDataError):
             asymptotic_estimate(div, window=(36.0, 38.0))
 
@@ -205,14 +209,14 @@ class TestAsymptoticEstimate:
         # the overlap drops to exactly 0: ln|dL| is never finite, so there is
         # no auto bound to fill the open end with
         raw = OverlapSeries(np.arange(6.0), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
-        _, div = ingest_overlap_series(raw, theta=0.0)
+        div = ingest_overlap_series(raw, theta=0.0)
         with pytest.raises(InsufficientDataError):
             asymptotic_estimate(div, window=window)
 
     def test_all_saturated_raises(self):
         t = np.arange(6.0)
-        dist, div = series_from_log_overlaps(t, -19.0 - t, theta=0.4)
-        assert dist.saturated.all()
+        div = series_from_log_overlaps(t, -19.0 - t, theta=0.4)
+        assert div.saturated.all()
         with pytest.raises(Exception) as err:
             asymptotic_estimate(div, saturation_time=0.0)
         from plyap import SaturationError
@@ -223,13 +227,14 @@ class TestAsymptoticEstimate:
 class TestDetectSaturation:
     def test_monotone_unsaturated_series_has_no_plateau(self):
         t = np.arange(10.0)
-        d = DistanceSeries(t, np.linspace(0.1, 1.0, 10), 0.05)
+        vals = np.linspace(0.1, 1.0, 10)
+        d = series_from_log_overlaps(t, np.log(np.cos(vals / 2)), 0.05)
         assert detect_saturation(d) is None
 
     def test_held_plateau_found_at_first_holding_time(self):
         t = np.arange(12.0)
         vals = np.concatenate([np.linspace(0.0, 2.8, 6), np.full(6, np.pi - 0.01)])
-        d = DistanceSeries(t, vals, 0.05)
+        d = series_from_log_overlaps(t, np.log(np.cos(vals / 2)), 0.05)
         assert detect_saturation(d) == 6.0
 
     @pytest.mark.parametrize("tail", [np.full(6, 2.0), np.linspace(2.0, 1.0, 6)],
@@ -239,7 +244,7 @@ class TestDetectSaturation:
         # the trailing plateau (if any) must not move t_b past the first entry
         t = np.arange(12.0)
         vals = np.concatenate([np.linspace(0.0, 2.8, 5), [np.pi - 0.01], tail])
-        d = DistanceSeries(t, vals, 0.05)
+        d = series_from_log_overlaps(t, np.log(np.cos(vals / 2)), 0.05)
         assert detect_saturation(d) == 5.0
 
 
@@ -247,21 +252,21 @@ class TestIngestion:
     def test_unit_overlap_gives_zero_distance(self):
         t = np.arange(5.0)
         raw = OverlapSeries(t, np.ones(5))
-        dist, _ = ingest_overlap_series(raw)
-        assert np.allclose(dist.values, 0.0)
+        div = ingest_overlap_series(raw)
+        assert np.allclose(div.distances, 0.0)
 
     def test_probability_convention_takes_square_root(self):
         t = np.arange(3.0)
         o = np.array([1.0, 0.25, 0.04])
-        d_amp, _ = ingest_overlap_series(OverlapSeries(t, o, "amplitude"))
-        d_prob, _ = ingest_overlap_series(OverlapSeries(t, o, "probability"))
-        assert d_amp.values[1] == pytest.approx(2 * np.arccos(0.25))
-        assert d_prob.values[1] == pytest.approx(2 * np.arccos(0.5))
+        d_amp = ingest_overlap_series(OverlapSeries(t, o, "amplitude"))
+        d_prob = ingest_overlap_series(OverlapSeries(t, o, "probability"))
+        assert d_amp.distances[1] == pytest.approx(2 * np.arccos(0.25))
+        assert d_prob.distances[1] == pytest.approx(2 * np.arccos(0.5))
 
     def test_periodic_overlap_classifies_near_zero(self):
         t = np.arange(0.0, 400.0, 0.5)
         o = 0.6 + 0.39 * np.cos(0.7 * t)
-        _, div = ingest_overlap_series(OverlapSeries(t, o))
+        div = ingest_overlap_series(OverlapSeries(t, o))
         est = asymptotic_estimate(div)
         assert abs(est.asymptotic_value) < 0.01
 

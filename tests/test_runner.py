@@ -62,6 +62,14 @@ class TestConfig:
                 ExperimentConfig(id=unsafe, system="linear")
             assert err.value.field == "id"
 
+    def test_sizes_stop_at_2_to_the_53(self):
+        for name, system, top in (("grid_n", "r_adic", 2**53), ("steps", "linear", 2**53),
+                                  ("n_dim", "bvs_baker", 2**53), ("grid_m", "baker_classical", 53)):
+            assert getattr(ExperimentConfig(id="x", system=system, **{name: top}), name) == top
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig(id="x", system=system, **{name: top + 2})
+            assert err.value.field == name
+
     def test_map_systems_need_integer_dt(self):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(id="x", system="bvs_baker", dt=0.5)
@@ -157,7 +165,7 @@ class TestRun:
         res = run(cfg)
         n = np.arange(7)
         expect = 2 * np.arccos(2.0**-n)
-        assert np.allclose(res.distance.values[:7], expect, atol=1e-10)
+        assert np.allclose(res.divergence.distances[:7], expect, atol=1e-10)
         assert res.classification == "unstable"
         assert res.summary["lambda"] == pytest.approx(np.log(2.0), rel=0.10)
 
@@ -206,13 +214,13 @@ class TestRun:
             for _ in range(dt):
                 rho = transfer_step(rho, r_adic_map(2))
             states.append(sqrt_embed(rho))
-        dist, div = divergence_series(
+        div = divergence_series(
             np.arange(9.0) * dt, [overlap_magnitude(s, ref) for s in states]
         )
         res = run(ExperimentConfig(id="radic", system="r_adic", steps=8, dt=dt, grid_n=2**12,
                                    init_width=2.0**-6))
-        assert np.array_equal(res.distance.times, dist.times)
-        assert np.array_equal(res.distance.values, dist.values)
+        assert np.array_equal(res.divergence.times, div.times)
+        assert np.array_equal(res.divergence.distances, div.distances)
         assert np.array_equal(res.divergence.log_values, div.log_values)
 
     @pytest.mark.parametrize("cells, snapped", [(3, 3), (2.5, 2)])
@@ -227,7 +235,7 @@ class TestRun:
         for _ in range(8):
             rho = transfer_step(rho, baker_map())
             states.append(sqrt_embed(rho))
-        dist, div = divergence_series(np.arange(9.0), [overlap_magnitude(s, ref) for s in states])
+        div = divergence_series(np.arange(9.0), [overlap_magnitude(s, ref) for s in states])
         cfg = ExperimentConfig(id="bak", system="baker_classical", steps=8, grid_m=6,
                                init_width=cells / n)
         with warnings.catch_warnings():
@@ -238,11 +246,11 @@ class TestRun:
             # a slab of 3 cells has irrational amplitudes: the runner sums the
             # overlap over the support rows, in another order than a full vdot
             np.testing.assert_allclose(
-                np.cos(res.distance.values / 2), np.cos(dist.values / 2), rtol=1e-12
+                np.cos(res.divergence.distances / 2), np.cos(div.distances / 2), rtol=1e-12
             )
             np.testing.assert_allclose(res.divergence.log_values, div.log_values, rtol=1e-12)
         else:
-            assert np.array_equal(res.distance.values, dist.values)
+            assert np.array_equal(res.divergence.distances, div.distances)
             assert np.array_equal(res.divergence.log_values, div.log_values)
 
     @pytest.mark.parametrize(
@@ -268,9 +276,9 @@ class TestRun:
         for _ in range(cfg.steps):
             rho = transfer_step(rho, m)
             overlaps.append(overlap_magnitude(sqrt_embed(rho), ref))
-        np.testing.assert_allclose(np.cos(res.distance.values / 2), overlaps, rtol=1e-12)
-        dist, div = divergence_series(res.distance.times, overlaps, theta=cfg.theta)
-        _, estimate, classification, t_b, _ = runner._estimate_and_classify(cfg, dist, div)
+        np.testing.assert_allclose(np.cos(res.divergence.distances / 2), overlaps, rtol=1e-12)
+        div = divergence_series(res.divergence.times, overlaps, theta=cfg.theta)
+        _, estimate, classification, t_b, _ = runner._estimate_and_classify(cfg, div)
         assert res.summary["lambda"] == pytest.approx(estimate.asymptotic_value, rel=1e-12)
         assert res.estimate.fit_window == estimate.fit_window
         assert (res.saturation_time, res.classification) == (t_b, classification)
@@ -285,7 +293,7 @@ class TestRun:
     )
     def test_first_sample_is_the_reference(self, system, params):
         res = run(ExperimentConfig(id="zero", system=system, steps=4, **params))
-        assert res.distance.values[0] == 0.0
+        assert res.divergence.distances[0] == 0.0
         assert np.isneginf(res.divergence.log_values[0])
 
     def test_baker_run_keeps_no_embedding_per_sample(self):
@@ -378,6 +386,11 @@ class TestFigures:
         assert svg.count("<polyline") == 3
         assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
 
+    def test_unknown_figure_named(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            figure("fig9", tmp_path)
+        assert err.value.field == "figure"
+
     def test_fig1a_reruns_byte_identical(self, tmp_path):
         figure("fig1a", tmp_path / "a")
         figure("fig1a", tmp_path / "b")
@@ -395,11 +408,11 @@ def _oracle_csv(config_hash, header, rows):
 
 def _assert_csvs_match_oracle(res):
     """Each CSV of a run equals the per-value formatting of its series."""
-    dist, div, h = res.distance, res.divergence, res.summary["config_hash"]
+    div, h = res.divergence, res.summary["config_hash"]
     expected = {
         "distance.csv": _oracle_csv(h, "t,d_p,saturated", (
             (f"{t:.17g}", f"{v:.17g}", str(int(s)))
-            for t, v, s in zip(dist.times, dist.values, dist.saturated))),
+            for t, v, s in zip(div.times, div.distances, div.saturated))),
         "divergence.csv": _oracle_csv(h, "t,log_divergence,saturated", (
             (f"{t:.17g}", f"{v:.17g}", str(int(s)))
             for t, v, s in zip(div.times, div.log_values, div.saturated))),
@@ -408,9 +421,6 @@ def _assert_csvs_match_oracle(res):
     }
     for name, text in expected.items():
         assert (res.out_dir / name).read_bytes() == text.encode(), name
-    # the writers format the shared t and saturated columns once for both files
-    assert np.array_equal(div.times, dist.times)
-    assert np.array_equal(div.saturated, dist.saturated)
 
 
 def _polyline_oracle(curves, hlines):
@@ -519,6 +529,32 @@ class TestCli:
         p.write_text("{not json")
         assert main(["run", str(p), "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text("[1, 2]")
+        assert main(["run", str(p), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:square width")
+    def test_unallocatable_run_exits_4(self, tmp_path, capsys):
+        # 10^15 cells is 7 PiB, which numpy refuses at once without allocating
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"id": "b", "system": "r_adic", "grid_n": 10**15}))
+        assert main(["run", str(p), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "Traceback" not in err
+
+    def test_ingest_header_only_exits_3(self, tmp_path, capsys):
+        p = tmp_path / "empty.csv"
+        p.write_text("t,overlap\n")
+        assert main(["ingest", str(p), "--out", str(tmp_path)]) == EXIT_DATA
+        assert "no data rows" in capsys.readouterr().err
+
     def test_ingest_bad_row_exits_3(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("t,overlap\n0,1.0\n1,2.0\n")
@@ -563,6 +599,20 @@ class TestSummarySchema:
         with pytest.raises(ConfigError):
             validate_summary(doc)
 
+    def test_non_object_rejected(self):
+        with pytest.raises(ConfigError):
+            validate_summary(["id", "x"])
+
+    def test_wrong_type_rejected(self):
+        doc = {
+            "id": "x", "config": {}, "config_hash": "h", "classification": "stable",
+            "lambda": "0.1", "fit_window": None, "residual": None,
+            "saturation_time": None, "provenance": {},
+        }
+        with pytest.raises(ConfigError) as err:
+            validate_summary(doc)
+        assert err.value.field == "lambda"
+
     def test_valid_document_passes(self):
         doc = {
             "id": "x", "config": {}, "config_hash": "h", "classification": "stable",
@@ -598,6 +648,10 @@ _OUT_OF_DOMAIN = [
     ({"id": "x", "system": "linear", "convention": "amplitude"}, "convention"),
     ({"id": "l", "system": "linear", "steps": 1}, "steps"),
     ({"id": "x", "system": "r_adic", "grid_n": 64, "steps": 3, "delta_index": 3}, "steps"),
+    ({"id": "x", "system": "r_adic", "grid_n": 2**62}, "grid_n"),
+    ({"id": "x", "system": "r_adic", "steps": 2**62}, "steps"),
+    ({"id": "x", "system": "baker_classical", "grid_m": 62}, "grid_m"),
+    ({"id": "x", "system": "baker_classical", "grid_m": 2000}, "grid_m"),
 ]
 
 _JUNK = st.one_of(
