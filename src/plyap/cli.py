@@ -63,7 +63,7 @@ def main(argv=None) -> int:
             for res in results:
                 lam = res.summary["lambda"]
                 lam_txt = "none" if lam is None else f"{lam:.6g}"
-                print(f"{res.config.id}: {res.classification} lambda={lam_txt}")
+                print(f"{res.config.id}: {res.summary['classification']} lambda={lam_txt}")
             print(f"wrote {args.out}/{args.figure_id}.svg")
         elif args.command == "ingest":
             kwargs = {} if args.theta is None else {"theta": args.theta}
@@ -85,6 +85,11 @@ def main(argv=None) -> int:
     except (PlyapError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # reads already raise ConfigError or DataFormatError, so this is an
+        # output path that cannot be written: an invocation error
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -58,14 +58,14 @@ def divergence_series(times, overlaps, theta=DEFAULT_THETA):
 
     Args:
         times: strictly increasing sample times, one per overlap.
-        overlaps: iterable of overlap magnitudes |<s_t, s_0>| / (||s_t|| ||s_0||)
-            in [0, 1], consumed lazily.
+        overlaps: overlap magnitudes |<s_t, s_0>| / (||s_t|| ||s_0||) in
+            [0, 1]; an array is used as it is, an iterable consumed lazily.
         theta: saturation threshold in radians, 0 <= theta < pi/2.
 
     Returns:
         DivergenceSeries.
     """
-    overlaps = np.fromiter(overlaps, dtype=float)
+    overlaps = overlaps.astype(float) if isinstance(overlaps, np.ndarray) else np.fromiter(overlaps, float)
     if not overlaps.size:
         raise DomainError("need at least one overlap")
     with np.errstate(divide="ignore"):

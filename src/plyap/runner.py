@@ -27,6 +27,7 @@ from .ensembles import (
 )
 from .errors import (
     ConfigError,
+    DataFormatError,
     DegeneratePathError,
     InsufficientDataError,
     PlyapError,
@@ -114,6 +115,11 @@ def _gaussian_series(cfg, p, sign):
 
 def _read_series(cfg, p):
     raw = read_overlap_csv(p["path"], convention=p["convention"])
+    # a file is data: too few rows to fit is a data error, as steps is a config one
+    if len(raw) < cfg.delta_index + 2:
+        raise DataFormatError(
+            f"{p['path']}: {len(raw)} data rows; delta_index {cfg.delta_index}"
+            f" needs at least {cfg.delta_index + 2}")
     return ingest_overlap_series(raw, theta=cfg.theta)
 
 
@@ -270,11 +276,8 @@ def _config_hash(config_dict: dict) -> str:
 class ExperimentResult:
     config: ExperimentConfig
     divergence: object
-    curve: np.ndarray
-    estimate: object | None
-    classification: str
-    saturation_time: float | None
-    summary: dict
+    estimate: object | None  # None when nothing was fitted
+    summary: dict  # the outcome: classification, lambda, fit window, t_b
     out_dir: Path | None = None
     defaults: dict = field(default_factory=dict)
 
@@ -311,16 +314,14 @@ def _params(cfg: ExperimentConfig):
 
 
 def _estimate_and_classify(cfg: ExperimentConfig, div):
-    """Shared estimator pipeline: plateau detection, fit, classification."""
+    """Plateau detection, fit, classification: the estimate (or None) and outcome fields."""
     t_b = detect_saturation(div)
-    curve = np.empty((0, 2))
     estimate = None
     detail = None
     try:
         estimate = asymptotic_estimate(
             div, window=cfg.window, delta_index=cfg.delta_index, saturation_time=t_b
         )
-        curve = estimate.finite_time_curve
         lam = estimate.asymptotic_value
         classification = "stable" if abs(lam) < cfg.stable_threshold else "unstable"
     except DegeneratePathError as exc:
@@ -331,7 +332,19 @@ def _estimate_and_classify(cfg: ExperimentConfig, div):
             raise
         classification = "saturated"
         detail = str(exc)
-    return curve, estimate, classification, t_b, detail
+    return estimate, {
+        "classification": classification,
+        "lambda": None if estimate is None else estimate.asymptotic_value,
+        "fit_window": None if estimate is None else list(estimate.fit_window),
+        "residual": None if estimate is None else estimate.residual,
+        "saturation_time": t_b,
+        "detail": detail,
+    }
+
+
+def _curve(result) -> np.ndarray:
+    """The (t, lambda_t) points of a run: none when nothing was fitted."""
+    return np.empty((0, 2)) if result.estimate is None else result.estimate.finite_time_curve
 
 
 def _column(values: np.ndarray) -> list:
@@ -414,19 +427,14 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Execute one experiment; write CSVs and summary.json when out_dir is given."""
     params, defaults = _params(config)
     div = _SYSTEMS[config.system][1](config, params)
-    curve, estimate, classification, t_b, detail = _estimate_and_classify(config, div)
+    estimate, outcome = _estimate_and_classify(config, div)
 
     config_dict = config.to_dict()
     summary = {
         "id": config.id,
         "config": config_dict,
         "config_hash": _config_hash(config_dict),
-        "classification": classification,
-        "lambda": None if estimate is None else estimate.asymptotic_value,
-        "fit_window": None if estimate is None else list(estimate.fit_window),
-        "residual": None if estimate is None else estimate.residual,
-        "saturation_time": t_b,
-        "detail": detail,
+        **outcome,
         "provenance": {
             "package_version": __version__,
             "numpy_version": np.__version__,
@@ -439,10 +447,7 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentResult:
     result = ExperimentResult(
         config=config,
         divergence=div,
-        curve=curve,
         estimate=estimate,
-        classification=classification,
-        saturation_time=t_b,
         summary=summary,
         defaults=defaults,
     )
@@ -461,7 +466,7 @@ def _write_result(result: ExperimentResult, out_dir: Path) -> Path:
     _write_csv(
         exp_dir / "divergence.csv", h, "t,log_divergence,saturated", t, _column(div.log_values), sat
     )
-    _write_csv(exp_dir / "lambda_t.csv", h, "t,lambda_t", *map(_column, result.curve.T))
+    _write_csv(exp_dir / "lambda_t.csv", h, "t,lambda_t", *map(_column, _curve(result).T))
     with open(exp_dir / "summary.json", "w") as fh:
         json.dump(result.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -524,7 +529,7 @@ def figure(fig_id: str, out_dir) -> list:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = [run(cfg, out_dir=out_dir) for cfg in configs]
-    curves = [(res.config.id, res.curve[:, 0], res.curve[:, 1]) for res in results]
+    curves = [(res.config.id, *_curve(res).T) for res in results]
     svg = render_line_plot(
         curves, title=fig_id, xlabel=xlabel, ylabel="finite-time exponent", hlines=hlines
     )

@@ -84,6 +84,13 @@ class TestDivergenceSeries:
         assert div.distances[2] == pytest.approx(2 * np.pi / 3, abs=1e-14)
         assert np.exp(div.log_values[2]) == pytest.approx(2.0, rel=1e-12)
 
+    def test_array_and_iterable_give_the_same_series(self):
+        t = np.arange(6.0)
+        v = 0.8**t
+        a, b = divergence_series(t, v), divergence_series(t, iter(v.tolist()))
+        assert np.array_equal(a.distances, b.distances)
+        assert np.array_equal(a.log_values, b.log_values)
+
     def test_empty_path_rejected(self):
         psi = ProjectiveState(np.ones(2), DiscreteBasis(2))
         with pytest.raises(DomainError):

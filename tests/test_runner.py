@@ -97,7 +97,7 @@ class TestRun:
             window=(10.0, None),
         )
         res = run(cfg, out_dir=tmp_path)
-        assert res.classification == "unstable"
+        assert res.summary["classification"] == "unstable"
         assert res.summary["lambda"] == pytest.approx(LN2_HALF, rel=0.01)
         for name in ("distance.csv", "divergence.csv", "lambda_t.csv", "summary.json"):
             assert (tmp_path / "lin2" / name).exists()
@@ -128,7 +128,7 @@ class TestRun:
             steps=1200, dt=0.05, theta=0.0,
         )
         res = run(cfg)
-        assert res.classification == "stable"
+        assert res.summary["classification"] == "stable"
         assert abs(res.summary["lambda"]) < 0.05
 
     def test_stationary_path_reports_stable(self):
@@ -138,18 +138,19 @@ class TestRun:
             steps=100, dt=0.05, theta=0.0,
         )
         res = run(cfg)
-        assert res.classification == "stable"
+        assert res.summary["classification"] == "stable"
         assert res.summary["lambda"] is None
         assert "stationary" in res.summary["detail"]
-        assert res.curve.shape == (0, 2)
+        assert res.estimate is None
+        assert runner._curve(res).shape == (0, 2)
 
     def test_r_adic_defaults_recorded(self):
         cfg = ExperimentConfig(id="radic", system="r_adic", steps=14, grid_n=2**12,
                                init_width=2.0**-6)
         res = run(cfg)
-        assert res.classification == "unstable"
+        assert res.summary["classification"] == "unstable"
         assert res.summary["lambda"] == pytest.approx(LN2_HALF, rel=0.10)
-        assert res.saturation_time is not None
+        assert res.summary["saturation_time"] is not None
 
     def test_r_adic_default_window_ends_before_the_plateau(self):
         res = run(ExperimentConfig(id="radic", system="r_adic"))
@@ -166,7 +167,7 @@ class TestRun:
         n = np.arange(7)
         expect = 2 * np.arccos(2.0**-n)
         assert np.allclose(res.divergence.distances[:7], expect, atol=1e-10)
-        assert res.classification == "unstable"
+        assert res.summary["classification"] == "unstable"
         assert res.summary["lambda"] == pytest.approx(np.log(2.0), rel=0.10)
 
     def test_baker_classical_defaults_past_the_dip(self):
@@ -278,10 +279,11 @@ class TestRun:
             overlaps.append(overlap_magnitude(sqrt_embed(rho), ref))
         np.testing.assert_allclose(np.cos(res.divergence.distances / 2), overlaps, rtol=1e-12)
         div = divergence_series(res.divergence.times, overlaps, theta=cfg.theta)
-        _, estimate, classification, t_b, _ = runner._estimate_and_classify(cfg, div)
-        assert res.summary["lambda"] == pytest.approx(estimate.asymptotic_value, rel=1e-12)
+        estimate, outcome = runner._estimate_and_classify(cfg, div)
+        assert res.summary["lambda"] == pytest.approx(outcome["lambda"], rel=1e-12)
         assert res.estimate.fit_window == estimate.fit_window
-        assert (res.saturation_time, res.classification) == (t_b, classification)
+        assert (res.summary["saturation_time"], res.summary["classification"]) == (
+            outcome["saturation_time"], outcome["classification"])
 
     @pytest.mark.parametrize(
         "system, params",
@@ -329,7 +331,7 @@ class TestRun:
         p = tmp_path / "series.csv"
         p.write_text("t,overlap\n" + "\n".join(f"{ti},{oi}" for ti, oi in zip(t, o)) + "\n")
         res = ingest(p, convention="probability", out_dir=tmp_path, theta=0.0)
-        assert res.classification == "unstable"
+        assert res.summary["classification"] == "unstable"
         assert res.summary["lambda"] == pytest.approx(0.017, rel=0.05)
 
     def test_ingest_records_the_default_convention(self, tmp_path):
@@ -344,7 +346,7 @@ class TestRun:
         p = tmp_path / "const.csv"
         p.write_text("t,overlap\n" + "\n".join(f"{k},0.8" for k in range(20)) + "\n")
         res = ingest(p, out_dir=tmp_path)
-        assert res.classification == "stable"
+        assert res.summary["classification"] == "stable"
 
     @pytest.mark.parametrize("setting", [{"foo": 1}, {"mode": "pointwise"}])
     def test_ingest_unknown_setting_named(self, tmp_path, setting):
@@ -375,7 +377,7 @@ class TestFigures:
         results = figure("fig1a", tmp_path)
         targets = {"fig1a-r2": np.log(2) / 2, "fig1a-r3": np.log(3) / 2, "fig1a-r5": np.log(5) / 2}
         for res in results:
-            lam = res.curve[:, 1]
+            lam = res.estimate.finite_time_curve[:, 1]
             target = targets[res.config.id]
             assert np.all(np.diff(lam) > -1e-12)  # monotone approach
             assert np.all(np.diff(target - lam) < 1e-12)  # shrinking gap, from below
@@ -417,7 +419,7 @@ def _assert_csvs_match_oracle(res):
             (f"{t:.17g}", f"{v:.17g}", str(int(s)))
             for t, v, s in zip(div.times, div.log_values, div.saturated))),
         "lambda_t.csv": _oracle_csv(h, "t,lambda_t", (
-            (f"{t:.17g}", f"{v:.17g}") for t, v in res.curve)),
+            (f"{t:.17g}", f"{v:.17g}") for t, v in runner._curve(res))),
     }
     for name, text in expected.items():
         assert (res.out_dir / name).read_bytes() == text.encode(), name
@@ -481,7 +483,7 @@ class TestWriters:
         if system == "linear":
             assert (res.out_dir / "divergence.csv").read_text().splitlines()[2] == "0,-inf,0"
         if system == "bvs_baker":
-            assert res.classification == "saturated"
+            assert res.summary["classification"] == "saturated"
             assert (res.out_dir / "lambda_t.csv").read_text() == (
                 f"# config_hash={res.summary['config_hash']}\nt,lambda_t\n")
 
@@ -502,7 +504,7 @@ class TestWriters:
     def test_figure_polylines_match_oracle(self, figure_runs):
         out, runs = figure_runs
         for fig_id, results in runs.items():
-            curves = [(r.config.id, r.curve[:, 0], r.curve[:, 1]) for r in results]
+            curves = [(r.config.id, *r.estimate.finite_time_curve.T) for r in results]
             svg = (out / f"{fig_id}.svg").read_text()
             points = re.findall(r'<polyline points="([^"]*)"', svg)
             assert points == _polyline_oracle(curves, runner._FIGURES[fig_id][1]), fig_id
@@ -560,6 +562,38 @@ class TestCli:
         p.write_text("t,overlap\n0,1.0\n1,2.0\n")
         assert main(["ingest", str(p), "--out", str(tmp_path)]) == EXIT_DATA
         assert "line 3" in capsys.readouterr().err
+
+    def test_overlap_file_too_short_for_delta_index_exits_3(self, tmp_path, capsys):
+        # three rows fit at delta_index 1, but delta_index 2 needs four
+        p = tmp_path / "short.csv"
+        p.write_text("t,overlap\n0,1.0\n1,0.5\n2,0.25\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"id": "of", "system": "overlap_file", "path": str(p), "delta_index": 2}))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {p}: 3 data rows")
+
+    @pytest.mark.parametrize("command", ["run", "figure", "ingest", "long id"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        series = tmp_path / "s.csv"
+        series.write_text("t,overlap\n" + "".join(f"{k},{0.9**k}\n" for k in range(12)))
+        cfg = tmp_path / "cfg.json"
+        exp_id = "x" * 300 if command == "long id" else "lin"
+        cfg.write_text(json.dumps({"id": exp_id, "system": "linear", "steps": 5}))
+        argv = {
+            "run": ["run", str(cfg), "--out", str(blocker)],
+            "figure": ["figure", "fig1a", "--out", str(blocker)],
+            "ingest": ["ingest", str(series), "--out", str(blocker)],
+            "long id": ["run", str(cfg), "--out", str(tmp_path / "out")],
+        }[command]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert str(tmp_path / "out" / exp_id if command == "long id" else blocker) in err
 
     def test_ingest_command(self, tmp_path, capsys):
         t = np.arange(300.0)
@@ -784,6 +818,8 @@ class TestExitCodes:
     @example("t,overlap\n0,1.0\n1,0.5\nnan,0.25\n")
     @example("t,overlap\n0,1.0\n1,0.5\ninf,0.25\n")
     @example("t,overlap\n-1.7e308,1.0\n-1e308,0.5\n0,0.25\n1e308,0.125\n1.7e308,0.1\n")
+    @example("t,overlap\n0,1.0\n")
+    @example("t,overlap\n0,1.0\n1,0.5\n")
     @given(_overlap_csvs())
     def test_every_overlap_csv_ends_with_a_documented_exit_code(self, text):
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
@@ -799,4 +835,7 @@ class TestExitCodes:
                 code = main(["ingest", path, "--out", os.path.join(tmp, "out")])
         assert code in (EXIT_OK, EXIT_DATA, EXIT_NUMERICAL)
         if bad_times:
+            assert code == EXIT_DATA
+        # the estimator needs delta_index + 2 = 3 rows; fewer is a data error
+        if times is not None and len(times) < 3:
             assert code == EXIT_DATA
