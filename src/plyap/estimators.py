@@ -17,6 +17,7 @@ widening of a short automatic window to four points.
 
 import csv
 from array import array
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -244,30 +245,86 @@ def ingest_overlap_series(raw: OverlapSeries, theta=DEFAULT_THETA):
     return series_from_log_overlaps(raw.times, log_v, theta=theta)
 
 
-def read_overlap_csv(path, convention: str = "amplitude") -> OverlapSeries:
-    """Read an overlap series from a CSV file with header ``t,overlap``."""
-    # lines[k] is the file line of data row k; blank lines are skipped
-    times, overlaps, lines = array("d"), array("d"), array("l")
+@contextmanager
+def _overlap_csv(path):
+    """The open file of an overlap CSV and its csv reader, past the checked
+    header; a failure to read or decode it is a DataFormatError."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header[:2]] != ["t", "overlap"]:
                 raise DataFormatError(f"{path}: expected header 't,overlap', got {header!r}")
-            for row in reader:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                try:
-                    times.append(float(row[0]))
-                    overlaps.append(float(row[1]))
-                except (IndexError, ValueError) as exc:
-                    raise DataFormatError(
-                        f"{path}: malformed row at line {reader.line_num}: {row!r}",
-                        row=reader.line_num,
-                    ) from exc
-                lines.append(reader.line_num)
+            yield fh, reader
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"{path}: cannot read: {exc}") from exc
+
+
+# NUL (a csv error before Python 3.11), the separators that numpy's float
+# parser strips as whitespace but float() rejects, and the line breaks of
+# str.splitlines that csv does not break lines at
+_ROW_LOOP_CHARS = "\x00\x1c\x1d\x1e\x1f\x0b\x0c\x85\u2028\u2029"
+
+
+def _parses_as_rows(text) -> bool:
+    """Whether numpy's C reader may read these data rows: it then gives the
+    row loop's values or rejects the file.
+
+    The text must hold a data row and none of _ROW_LOOP_CHARS, and no field
+    may pass csv's size limit, which the row loop enforces.  An unquoted field
+    ends at a comma or line end, so it is short enough when each aligned block
+    of half the limit holds one; a quoted field may span them, so text with a
+    quote must itself be within the limit."""
+    limit = csv.field_size_limit()
+    if not text.strip() or any(c in text for c in _ROW_LOOP_CHARS):
+        return False
+    if '"' in text:
+        return len(text) <= limit
+    half = limit // 2
+    return all(
+        any(text.find(end, i, i + half) >= 0 for end in ",\n\r")
+        for i in range(0, len(text) - half + 1, half)
+    )
+
+
+def read_overlap_csv(path, convention: str = "amplitude") -> OverlapSeries:
+    """Read an overlap series from a UTF-8 CSV file with header ``t,overlap``.
+
+    The data rows are parsed in one C pass.  A file that pass rejects or might
+    read otherwise, and a file whose series is invalid, is read again row by
+    row, which raises the error naming the file line."""
+    with _overlap_csv(path) as (fh, _):
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:  # the row loop reports where, as before
+            text = ""
+    if _parses_as_rows(text):
+        try:
+            data = np.loadtxt(text.splitlines(keepends=True), delimiter=",", usecols=(0, 1),
+                              ndmin=2, comments=None, quotechar='"')
+            return OverlapSeries(data[:, 0], data[:, 1], convention=convention)
+        except (ValueError, DataFormatError):
+            pass
+    return _read_overlap_rows(path, convention)
+
+
+def _read_overlap_rows(path, convention: str) -> OverlapSeries:
+    """read_overlap_csv row by row: each error names its file line."""
+    # lines[k] is the file line of data row k; blank lines are skipped
+    times, overlaps, lines = array("d"), array("d"), array("l")
+    with _overlap_csv(path) as (_, reader):
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            try:
+                times.append(float(row[0]))
+                overlaps.append(float(row[1]))
+            except (IndexError, ValueError) as exc:
+                raise DataFormatError(
+                    f"{path}: malformed row at line {reader.line_num}: {row!r}",
+                    row=reader.line_num,
+                ) from exc
+            lines.append(reader.line_num)
     if not times:
         raise DataFormatError(f"{path}: no data rows")
     try:

@@ -8,8 +8,10 @@ file embeds the config hash.
 import datetime
 import hashlib
 import json
+import math
 import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -310,7 +312,32 @@ def _params(cfg: ExperimentConfig):
             f"steps must exceed delta_index ({cfg.delta_index}), got {values['steps']}",
             field="steps",
         )
+    if "steps" in values and cfg.window is not None:
+        # a fit reads ln|dL| at the stencils' left times k dt, k = 0 ... steps - delta_index
+        last, dt = values["steps"] - cfg.delta_index, values.get("dt", 1.0)
+        if not _holds_a_sample(cfg.window, last, dt):
+            raise ConfigError(
+                f"window {list(cfg.window)} holds none of the fit times 0 ... {last * dt:g}",
+                field="window",
+            )
     return values, applied
+
+
+def _holds_a_sample(window, last: int, dt: float) -> bool:
+    """Whether [t1, t2] (a None bound is open) holds one of the times k dt, k = 0 ... last."""
+    t1, t2 = window
+    if t1 is None or t1 <= 0.0:
+        k = 0
+    elif t1 > last * dt:
+        return False
+    else:
+        # the first k with k dt >= t1, as the series rounds k dt
+        k = math.ceil(t1 / dt)
+        while k > 0 and (k - 1) * dt >= t1:
+            k -= 1
+        while k * dt < t1:
+            k += 1
+    return t2 is None or k * dt <= t2
 
 
 def _estimate_and_classify(cfg: ExperimentConfig, div):
@@ -349,15 +376,21 @@ def _curve(result) -> np.ndarray:
 
 def _column(values: np.ndarray) -> list:
     """One CSV column as strings: floats to 17 significant digits, flags as 0/1."""
-    fmt = "%d" if values.dtype == bool else "%.17g"
-    return list(map(fmt.__mod__, values.tolist()))
+    if values.dtype == bool:
+        return np.where(values, "1", "0").tolist()
+    return list(map("%.17g".__mod__, values.tolist()))
+
+
+# rows joined per write: a long series never holds all its row strings at once
+_ROWS_PER_WRITE = 4096
 
 
 def _write_csv(path: Path, config_hash: str, header: str, *columns):
-    row = ",".join(["%s"] * len(columns)) + "\n"
+    rows = map(",".join, zip(*columns))
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash}\n{header}\n")
-        fh.writelines(map(row.__mod__, zip(*columns)))
+        while block := list(islice(rows, _ROWS_PER_WRITE)):
+            fh.write("\n".join(block) + "\n")
 
 
 SUMMARY_SCHEMA = {

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,25 @@ class TestOverlapCsv:
             read_overlap_csv(p)
         assert err.value.row == line
         assert f"(line {line})" in str(err.value)
+
+    # the whitespace-only line sends the file to the row loop
+    @pytest.mark.parametrize("rows", ["0,1.0\n1,0.5\n2,0.25\n", "0,1.0\n \n1,0.5\n2,0.25\n"],
+                             ids=["c-pass", "row-loop"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, rows):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(f"t,overlap\n{rows}".encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = read_overlap_csv(plain), read_overlap_csv(marked)
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.overlaps.tobytes() == b.overlaps.tobytes()
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        p = tmp_path / "header.csv"
+        p.write_text("t,overlap\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="no data rows"):
+                read_overlap_csv(p)
 
     def test_overflowing_time_span_reports_last_line(self, tmp_path):
         # each time is finite and increasing, but t[-1] - t[0] is not a double

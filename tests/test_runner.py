@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 
 from plyap import (
     ConfigError,
+    DataFormatError,
     GridBasis1D,
     GridBasis2D,
     GridDensity,
     baker_map,
     divergence_series,
+    estimators,
     overlap_magnitude,
     r_adic_map,
     runner,
@@ -80,6 +82,27 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(id="x", system="linear", window=window)
         assert err.value.field == "window"
+
+    @pytest.mark.parametrize(
+        "system, params, window, holds",
+        [
+            ("linear", dict(steps=20), (19.0, None), True),
+            ("linear", dict(steps=20), (19.5, None), False),
+            ("linear", dict(steps=20, delta_index=2), (19.0, None), False),
+            ("linear", dict(steps=20), (None, -0.5), False),
+            ("linear", dict(steps=20), (-5.0, 0.0), True),
+            ("linear", dict(steps=20), (0.25, 0.75), False),
+            # the fit time 3 * 0.1 rounds to 0.30000000000000004, past 0.3, and
+            # 0.30000000000000004 / 0.1 rounds up to 3.0000000000000004
+            ("oscillator", dict(omega=2.0, steps=4, dt=0.1), (0.25, 0.3), False),
+            ("oscillator", dict(omega=2.0, steps=4, dt=0.1), (0.30000000000000004, 0.35), True),
+            # 0.42000000000000004 / 0.01 rounds down to 42, but 42 * 0.01 is 0.42
+            ("oscillator", dict(omega=2.0, steps=50, dt=0.01), (0.42000000000000004, 0.425), False),
+        ],
+    )
+    def test_window_must_hold_a_fit_time(self, system, params, window, holds):
+        with contextlib.nullcontext() if holds else pytest.raises(ConfigError, match="^window "):
+            ExperimentConfig(id="w", system=system, window=window, **params)
 
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(id="x", system="linear", r=2.0)
@@ -487,14 +510,34 @@ class TestWriters:
             assert (res.out_dir / "lambda_t.csv").read_text() == (
                 f"# config_hash={res.summary['config_hash']}\nt,lambda_t\n")
 
-    def test_ingest_csvs_match_oracle(self, tmp_path):
-        p = tmp_path / "noisy.csv"
+    def test_ingest_csvs_match_oracle(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(5)
         t = np.arange(2000) * 0.01
         v = np.maximum(np.exp(-0.5 * t), 0.005 * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, t.size)))
-        rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), v.tolist()))
-        p.write_text("t,overlap\n" + rows)
-        _assert_csvs_match_oracle(ingest(p, out_dir=tmp_path))
+        rows = [f"{a!r},{b!r}" for a, b in zip(t.tolist(), v.tolist())]
+        # the same series as LF, as CRLF, and with a whitespace-only line, which
+        # only the row loop reads
+        layouts = {
+            "lf": "\n".join(["t,overlap", *rows, ""]),
+            "crlf": "\r\n".join(["t,overlap", *rows, ""]),
+            "blank": "\n".join(["t,overlap", *rows[:900], "  ", *rows[900:], ""]),
+        }
+        monkeypatch.setattr(runner, "_ROWS_PER_WRITE", 7)  # many blocks per CSV
+        row_loop = estimators._read_overlap_rows
+        looped = []
+        monkeypatch.setattr(estimators, "_read_overlap_rows",
+                            lambda *args: looped.append(args) or row_loop(*args))
+        outputs = {}
+        for name, text in layouts.items():
+            (tmp_path / name).mkdir()
+            p = tmp_path / name / "noisy.csv"
+            p.write_bytes(text.encode())
+            res = ingest(p, out_dir=tmp_path / name)
+            _assert_csvs_match_oracle(res)
+            outputs[name] = [(res.out_dir / f).read_bytes().split(b"\n", 1)[1]
+                             for f in ("distance.csv", "divergence.csv", "lambda_t.csv")]
+        assert [str(args[0]) for args in looped] == [str(tmp_path / "blank" / "noisy.csv")]
+        assert outputs["lf"] == outputs["crlf"] == outputs["blank"]
 
     def test_figure_csvs_match_oracle(self, figure_runs):
         for results in figure_runs[1].values():
@@ -573,6 +616,19 @@ class TestCli:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {p}: 3 data rows")
+
+    @pytest.mark.parametrize("theta", [None, 0.0])
+    def test_window_past_the_run_exits_2(self, tmp_path, capsys, theta):
+        # the fit times of 20 linear steps are 0 ... 19, so [30, 40] holds none
+        cfg = {"id": "lp", "system": "linear", "steps": 20, "window": [30, 40]}
+        if theta is not None:
+            cfg["theta"] = theta
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: window [30, 40] holds none")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["run", "figure", "ingest", "long id"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
@@ -686,6 +742,7 @@ _OUT_OF_DOMAIN = [
     ({"id": "x", "system": "r_adic", "steps": 2**62}, "steps"),
     ({"id": "x", "system": "baker_classical", "grid_m": 62}, "grid_m"),
     ({"id": "x", "system": "baker_classical", "grid_m": 2000}, "grid_m"),
+    ({"id": "lp", "system": "linear", "steps": 20, "window": [30, 40]}, "window"),
 ]
 
 _JUNK = st.one_of(
@@ -839,3 +896,51 @@ class TestExitCodes:
         # the estimator needs delta_index + 2 = 3 rows; fewer is a data error
         if times is not None and len(times) < 3:
             assert code == EXIT_DATA
+
+
+@st.composite
+def _overlap_csv_layouts(draw):
+    """A file of _overlap_csvs as other writers may lay it out: quoted cells, an
+    extra column, blank and whitespace-only lines, CRLF or CR line ends, no
+    final line end."""
+    header, *rows = draw(_overlap_csvs()).split("\n")[:-1]
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        rows[i] = ",".join(f'"{cell}"' for cell in rows[i].split(","))
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
+        rows[i] += draw(st.sampled_from([",", ",x", ',"a,b"', ",1,2"]))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["", " ", "\t", '""'])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join([header, *rows]) + draw(st.sampled_from([end, ""]))
+
+
+def _read_or_error(read, path):
+    """The bytes of the series read, or the message and row of its DataFormatError."""
+    try:
+        raw = read(path)
+    except DataFormatError as exc:
+        return str(exc), exc.row
+    return raw.times.tobytes(), raw.overlaps.tobytes()
+
+
+class TestOverlapCsvReaders:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @example("t,overlap\n1_0,1.0\n11,0.5\n12,0.25\n")
+    @example("t,overlap\n0,1.0\n \n1,0.5\n2,0.25\n")
+    @example("t,overlap\n")
+    @example("t,overlap\n0,1.0\n1,0.5\n2,\x1f0.25\n")
+    @example("t,overlap\n0,1.0\x0c1,0.5\n2,0.25\n")
+    @example("t,overlap\n0,1.0\u20281,0.5\n2,0.25\n")
+    @example("t,overlap\n0,1.0\n1,0.5,\x00\n")
+    @example("t,overlap\n0,1.0\n1,0.5,x\n" + "0" * 140_000 + "2,0.25\n")
+    @example('t,overlap\n0,1.0,"' + "x" * 140_000 + '"\n1,0.5\n')
+    @given(_overlap_csv_layouts())
+    def test_c_pass_and_row_loop_agree(self, text):
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            path = os.path.join(tmp, "series.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            fast = _read_or_error(estimators.read_overlap_csv, path)
+            rows = _read_or_error(lambda p: estimators._read_overlap_rows(p, "amplitude"), path)
+        assert fast == rows
