@@ -64,7 +64,6 @@ from .quantum import (
     barrier_overlap_paper,
     bvs_baker,
     bvs_coherent_state,
-    bvs_transform,
     gaussian_autocorrelation,
     gaussian_on_grid,
     plan_split_grid,

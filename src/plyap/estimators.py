@@ -143,6 +143,11 @@ def _auto_window(t, lnd, valid):
     return t[start], t[stop]
 
 
+# the points a window with two given bounds holds, or one with an auto bound is widened to
+MIN_FIT_POINTS = 4
+MIN_REGRESSION_POINTS = 2
+
+
 def asymptotic_estimate(
     div: DivergenceSeries,
     window=None,
@@ -156,8 +161,10 @@ def asymptotic_estimate(
     strictly before the plateau.  A bound still open is taken from the auto
     window: it starts where ln|dL| has risen 2 nats above its initial value
     and ends at the last unsaturated point.  A window that used an auto bound
-    and holds fewer than 4 usable points is widened backward to four; any
-    other window must hold at least 4.
+    and holds fewer than MIN_FIT_POINTS usable points is widened backward to
+    that many, of which a line needs MIN_REGRESSION_POINTS; any other window
+    must hold MIN_FIT_POINTS.  So a config's window must hold 4, 2 (open start)
+    or 1 (open end, the runner's own rule) of its fit times, sampled or read.
 
     Raises:
         SaturationError: every stencil point is saturated.
@@ -180,20 +187,18 @@ def asymptotic_estimate(
         t2 = auto[1] if t2 is None else t2
     sel = valid & np.isfinite(lnd) & (t >= t1) & (t <= t2)
     npts = int(sel.sum())
-    if explicit and npts < 4:
-        raise InsufficientDataError(
-            f"window ({t1}, {t2}) holds {npts} usable points; at least 4 required"
-        )
-    if not explicit and npts < 4:
-        # short series: widen the auto window backward to four usable points
-        usable = np.where(valid & np.isfinite(lnd) & (t <= t2))[0]
-        take = usable[-4:]
+    if npts < MIN_FIT_POINTS:
+        if explicit:
+            raise InsufficientDataError(f"window ({t1}, {t2}) holds {npts} usable points;"
+                                        f" at least {MIN_FIT_POINTS} required")
+        # short series: widen the auto window backward to MIN_FIT_POINTS usable points
+        take = np.where(valid & np.isfinite(lnd) & (t <= t2))[0][-MIN_FIT_POINTS:]
         sel = np.zeros_like(valid)
         sel[take] = True
         npts = take.size
         if npts:
             t1 = float(t[take[0]])
-    if npts < 2:
+    if npts < MIN_REGRESSION_POINTS:
         raise InsufficientDataError("regression needs at least two usable points")
     design = np.column_stack([np.ones(npts), t[sel]])
     coef, *_ = np.linalg.lstsq(design, lnd[sel], rcond=None)

@@ -22,7 +22,6 @@ __all__ = [
     "plan_split_grid",
     "gaussian_on_grid",
     "split_operator_propagate",
-    "bvs_transform",
     "bvs_baker",
     "bvs_coherent_state",
 ]
@@ -177,18 +176,6 @@ def split_operator_propagate(
             f"{outer:.2e} of the mass sits in the outer 10% of the grid; enlarge the domain"
         )
     return out
-
-
-def bvs_transform(N: int) -> np.ndarray:
-    """Position-to-momentum transform on the half-integer grid q_j = (j+1/2)/N.
-
-    (G_N)_{kj} = N^(-1/2) exp(-2 pi i (k+1/2)(j+1/2) / N) - the discrete
-    Fourier transform with antiperiodic boundary conditions.  Unitary.
-    """
-    if N < 1:
-        raise DomainError("dimension must be positive")
-    j = np.arange(N) + 0.5
-    return np.exp(-2j * np.pi * np.outer(j, j) / N) / np.sqrt(N)
 
 
 def bvs_baker(N: int):

@@ -8,8 +8,8 @@ file embeds the config hash.
 import datetime
 import hashlib
 import json
-import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import islice
 from pathlib import Path
@@ -36,6 +36,8 @@ from .errors import (
     SaturationError,
 )
 from .estimators import (
+    MIN_FIT_POINTS,
+    MIN_REGRESSION_POINTS,
     asymptotic_estimate,
     detect_saturation,
     divergence_series,
@@ -122,6 +124,7 @@ def _read_series(cfg, p):
         raise DataFormatError(
             f"{p['path']}: {len(raw)} data rows; delta_index {cfg.delta_index}"
             f" needs at least {cfg.delta_index + 2}")
+    _check_window(cfg.window, len(raw) - cfg.delta_index, raw.times.__getitem__)
     return ingest_overlap_series(raw, theta=cfg.theta)
 
 
@@ -312,32 +315,24 @@ def _params(cfg: ExperimentConfig):
             f"steps must exceed delta_index ({cfg.delta_index}), got {values['steps']}",
             field="steps",
         )
-    if "steps" in values and cfg.window is not None:
-        # a fit reads ln|dL| at the stencils' left times k dt, k = 0 ... steps - delta_index
-        last, dt = values["steps"] - cfg.delta_index, values.get("dt", 1.0)
-        if not _holds_a_sample(cfg.window, last, dt):
-            raise ConfigError(
-                f"window {list(cfg.window)} holds none of the fit times 0 ... {last * dt:g}",
-                field="window",
-            )
+    if "steps" in values:  # the fit times: the stencils' left times k dt, as the series forms them
+        dt = values.get("dt", 1.0)
+        _check_window(cfg.window, values["steps"] - cfg.delta_index + 1, lambda k: k * dt)
     return values, applied
 
 
-def _holds_a_sample(window, last: int, dt: float) -> bool:
-    """Whether [t1, t2] (a None bound is open) holds one of the times k dt, k = 0 ... last."""
-    t1, t2 = window
-    if t1 is None or t1 <= 0.0:
-        k = 0
-    elif t1 > last * dt:
-        return False
-    else:
-        # the first k with k dt >= t1, as the series rounds k dt
-        k = math.ceil(t1 / dt)
-        while k > 0 and (k - 1) * dt >= t1:
-            k -= 1
-        while k * dt < t1:
-            k += 1
-    return t2 is None or k * dt <= t2
+def _check_window(window, n: int, at):
+    """Raise ConfigError unless window (None, or [t1, t2] with None open) holds the
+    fit times at(0) < ... < at(n - 1) a fit needs: MIN_FIT_POINTS between two bounds,
+    MIN_REGRESSION_POINTS up to the end of an open start, one past the start of an open end."""
+    t1, t2 = window or (None, None)
+    held = (n if t2 is None else bisect_right(range(n), t2, key=at)) - (
+        0 if t1 is None else bisect_left(range(n), t1, key=at))
+    need = 1 if t2 is None else MIN_REGRESSION_POINTS if t1 is None else MIN_FIT_POINTS
+    if held < need:
+        raise ConfigError(
+            f"window {json.dumps(list(window))} holds {f'only {held}' if held else 'none'} of"
+            f" the fit times {at(0):g} ... {at(n - 1):g}; a fit needs {need}", field="window")
 
 
 def _estimate_and_classify(cfg: ExperimentConfig, div):

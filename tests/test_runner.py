@@ -20,6 +20,7 @@ from plyap import (
     GridBasis1D,
     GridBasis2D,
     GridDensity,
+    InsufficientDataError,
     baker_map,
     divergence_series,
     estimators,
@@ -90,14 +91,25 @@ class TestConfig:
             ("linear", dict(steps=20), (19.5, None), False),
             ("linear", dict(steps=20, delta_index=2), (19.0, None), False),
             ("linear", dict(steps=20), (None, -0.5), False),
-            ("linear", dict(steps=20), (-5.0, 0.0), True),
+            # two given bounds need 4 fit times: 0, 1, 2, 3
+            ("linear", dict(steps=20), (-5.0, 3.0), True),
             ("linear", dict(steps=20), (0.25, 0.75), False),
             # the fit time 3 * 0.1 rounds to 0.30000000000000004, past 0.3, and
-            # 0.30000000000000004 / 0.1 rounds up to 3.0000000000000004
+            # 0.30000000000000004 / 0.1 rounds up to 3.0000000000000004; 6 * 0.1
+            # rounds to 0.6000000000000001, so the window to 0.65 holds 4 and to 0.6 holds 3
             ("oscillator", dict(omega=2.0, steps=4, dt=0.1), (0.25, 0.3), False),
-            ("oscillator", dict(omega=2.0, steps=4, dt=0.1), (0.30000000000000004, 0.35), True),
-            # 0.42000000000000004 / 0.01 rounds down to 42, but 42 * 0.01 is 0.42
+            ("oscillator", dict(omega=2.0, steps=7, dt=0.1), (0.30000000000000004, 0.65), True),
+            ("oscillator", dict(omega=2.0, steps=7, dt=0.1), (0.30000000000000004, 0.6), False),
+            # 0.42000000000000004 / 0.01 rounds down to 42, but 42 * 0.01 is 0.42, so
+            # the window to 0.46 holds 43 ... 46 and to 0.455 holds 43 ... 45
             ("oscillator", dict(omega=2.0, steps=50, dt=0.01), (0.42000000000000004, 0.425), False),
+            ("oscillator", dict(omega=2.0, steps=50, dt=0.01), (0.42000000000000004, 0.46), True),
+            ("oscillator", dict(omega=2.0, steps=50, dt=0.01), (0.42000000000000004, 0.455), False),
+            # 0, 1, 2 are only 3
+            ("linear", dict(steps=20), (-5.0, 2.0), False),
+            # an open start needs 2 fit times up to its end
+            ("linear", dict(steps=20), (None, 0.5), False),
+            ("linear", dict(steps=20), (None, 1.0), True),
         ],
     )
     def test_window_must_hold_a_fit_time(self, system, params, window, holds):
@@ -630,6 +642,32 @@ class TestCli:
         assert err.startswith("config error: window [30, 40] holds none")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("theta", [None, 0.0])
+    @pytest.mark.parametrize("params, message", [
+        ({"system": "linear", "steps": 20, "window": [17, 40]},
+         "window [17, 40] holds only 3 of the fit times 0 ... 19; a fit needs 4"),
+        ({"system": "linear", "steps": 20, "window": [None, 0.5]},
+         "window [null, 0.5] holds only 1 of the fit times 0 ... 19; a fit needs 2"),
+        ({"system": "overlap_file", "window": [26, 40]},
+         "window [26, 40] holds only 3 of the fit times 0 ... 28; a fit needs 4"),
+        ({"system": "overlap_file", "window": [40, 50]},
+         "window [40, 50] holds none of the fit times 0 ... 28; a fit needs 4"),
+    ], ids=["linear-3", "linear-open-start-1", "file-3", "file-past-the-end"])
+    def test_window_too_short_to_fit_exits_2(self, tmp_path, capsys, params, message, theta):
+        # a file window is checked against the file's own times: 30 rows, fit times 0 ... 28
+        series = tmp_path / "s.csv"
+        series.write_text("t,overlap\n" + "".join(f"{k},{0.9**k}\n" for k in range(30)))
+        cfg = {"id": "w", **params}
+        if params["system"] == "overlap_file":
+            cfg["path"] = str(series)
+        if theta is not None:
+            cfg["theta"] = theta
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["run", "figure", "ingest", "long id"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
         blocker = tmp_path / "taken"
@@ -743,6 +781,8 @@ _OUT_OF_DOMAIN = [
     ({"id": "x", "system": "baker_classical", "grid_m": 62}, "grid_m"),
     ({"id": "x", "system": "baker_classical", "grid_m": 2000}, "grid_m"),
     ({"id": "lp", "system": "linear", "steps": 20, "window": [30, 40]}, "window"),
+    ({"id": "lp", "system": "linear", "steps": 20, "window": [17, 40]}, "window"),
+    ({"id": "lp", "system": "linear", "steps": 20, "window": [None, 0.5]}, "window"),
 ]
 
 _JUNK = st.one_of(
@@ -841,6 +881,43 @@ def _with_examples(test):
     for path in ("series.csv", "missing.csv", "."):
         test = example({"id": "run", "system": "overlap_file", "path": path}, None)(test)
     return test
+
+
+@st.composite
+def _windowed_configs(draw):
+    """A linear or barrier (omega 1) config at theta 0 with a window whose bounds
+    are open, arbitrary, or on or next to one of the run's times."""
+    delta = draw(st.integers(1, 4))
+    cfg = {"id": "w", "system": draw(st.sampled_from(["linear", "barrier"])),
+           "steps": draw(st.integers(delta + 1, 12)), "delta_index": delta, "theta": 0.0}
+    dt = 1.0
+    if cfg["system"] == "barrier":
+        dt = cfg["dt"] = draw(st.sampled_from([0.05, 0.1, 0.3, 0.7, 1.0]))
+        cfg["omega"] = 1.0
+    on = st.integers(-1, 13).map(lambda k: k * dt)
+    bound = st.one_of(st.none(), st.floats(-1.0, 13.0), on, st.tuples(
+        on, st.sampled_from([-math.inf, math.inf])).map(lambda p: math.nextafter(*p)))
+    window = [draw(bound), draw(bound)]
+    return {**cfg, "window": window if None in window else sorted(window)}
+
+
+class TestFitWindows:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_windowed_configs())
+    def test_accepted_windows_fit_and_rejected_ones_cannot(self, data):
+        try:
+            cfg = ExperimentConfig.from_dict(data)
+        except ConfigError as exc:
+            assert exc.field == "window"
+            t1, t2 = data["window"]
+            if t2 is not None:  # an open end is the runner's own rule; the estimator widens it
+                div = run(ExperimentConfig.from_dict({**data, "window": None})).divergence
+                with pytest.raises(InsufficientDataError):
+                    estimators.asymptotic_estimate(
+                        div, window=(t1, t2), delta_index=data["delta_index"],
+                        saturation_time=estimators.detect_saturation(div))
+        else:
+            assert run(cfg).summary["lambda"] is not None
 
 
 class TestExitCodes:
