@@ -10,9 +10,11 @@ arithmetic runs on ln L to survive divergences spanning hundreds of orders
 of magnitude.  The asymptotic exponent is the slope of a least-squares fit
 of ln|dL| against t, which drops the O(1/t) bias the finite-time curve
 inherits from its denominator.  One function, asymptotic_estimate, decides
-the fit window: explicit bounds, an automatic start after the initial
-transient, an open end half a step before the detected plateau, and
-widening of a short automatic window to four points.
+the fit window by one rule: a given bound is kept; an open end is half a
+step before the detected plateau (or the last unsaturated point); an open
+start follows the initial transient, moved back only as far as needed to
+leave four usable points.  A fit from a given start needs four usable
+points and one from an open start two (fit_points_needed).
 """
 
 import csv
@@ -124,28 +126,14 @@ def _finite_time_curve(t, lnd, valid):
     return np.column_stack([t[later], lam])
 
 
-def _auto_window(t, lnd, valid):
-    """Default fit window: skip the initial transient, keep the growth tail.
-
-    Starts where ln|dL| has risen 2 nats above its initial value (or half
-    the total observed rise when the series saturates earlier than that) and
-    ends at the last unsaturated stencil point.
-    """
-    finite = valid & np.isfinite(lnd)
-    idx = np.where(finite)[0]
-    if idx.size == 0:
-        return None
-    base = lnd[idx[0]]
-    threshold = min(2.0, max(0.0, (float(np.max(lnd[idx])) - base) / 2.0))
-    above = idx[lnd[idx] > base + threshold]
-    start = above[0] if above.size else idx[0]
-    stop = np.where(valid)[0][-1]
-    return t[start], t[stop]
-
-
-# the points a window with two given bounds holds, or one with an auto bound is widened to
+# the usable points a fit from a given start needs, and one from an open start
 MIN_FIT_POINTS = 4
 MIN_REGRESSION_POINTS = 2
+
+
+def fit_points_needed(t1) -> int:
+    """The usable points a fit window starting at t1 (None: open) must hold."""
+    return MIN_REGRESSION_POINTS if t1 is None else MIN_FIT_POINTS
 
 
 def asymptotic_estimate(
@@ -156,50 +144,51 @@ def asymptotic_estimate(
 ) -> ExponentEstimate:
     """Windowed asymptotic exponent: the least-squares slope of ln|dL| = a + lambda * t.
 
-    window is (t1, t2); either bound may be None.  An open end stops half a
-    sample step before saturation_time when that is given, so the fit stays
-    strictly before the plateau.  A bound still open is taken from the auto
-    window: it starts where ln|dL| has risen 2 nats above its initial value
-    and ends at the last unsaturated point.  A window that used an auto bound
-    and holds fewer than MIN_FIT_POINTS usable points is widened backward to
-    that many, of which a line needs MIN_REGRESSION_POINTS; any other window
-    must hold MIN_FIT_POINTS.  So a config's window must hold 4, 2 (open start)
-    or 1 (open end, the runner's own rule) of its fit times, sampled or read.
+    window is (t1, t2); either bound may be None (open).  A given bound is
+    kept.  An open end is half a sample step before saturation_time when that
+    is given, so the fit stays strictly before the plateau, and the last
+    unsaturated stencil point otherwise.  An open start is where ln|dL| has
+    risen 2 nats above its initial value (or half its total rise when that is
+    less), moved back only as far as needed to leave MIN_FIT_POINTS usable
+    points up to the end.  A window must then hold fit_points_needed(t1)
+    usable points: MIN_FIT_POINTS from a given start, MIN_REGRESSION_POINTS
+    from an open one.
 
     Raises:
         SaturationError: every stencil point is saturated.
-        DegeneratePathError / InsufficientDataError: via the curve.
+        InsufficientDataError: the window holds too few usable points.
+        DegeneratePathError: via the curve.
     """
     t, lnd, valid = _log_increments(div, delta_index)
     if not valid.any():
         raise SaturationError("all stencil points are saturated")
     curve = _finite_time_curve(t, lnd, valid)
 
+    usable = valid & np.isfinite(lnd)
     t1, t2 = window or (None, None)
+    need = fit_points_needed(t1)
+    note = ""
     if t2 is None and saturation_time is not None:
         t2 = saturation_time - 0.5 * float(np.min(np.diff(div.times)))
-    explicit = t1 is not None and t2 is not None
-    if not explicit:
-        auto = _auto_window(t, lnd, valid)
-        if auto is None:
+        note = f" (its open end {t2} is half a step before t_b = {saturation_time})"
+    elif t2 is None:
+        t2 = t[np.flatnonzero(valid)[-1]]
+    if t1 is None:
+        idx = np.flatnonzero(usable)
+        if not idx.size:
             raise InsufficientDataError("no finite increments to fit")
-        t1 = auto[0] if t1 is None else t1
-        t2 = auto[1] if t2 is None else t2
-    sel = valid & np.isfinite(lnd) & (t >= t1) & (t <= t2)
+        base = lnd[idx[0]]
+        rise = min(2.0, max(0.0, (float(np.max(lnd[idx])) - base) / 2.0))
+        above = idx[lnd[idx] > base + rise]
+        t1 = t[above[0] if above.size else idx[0]]
+        back = idx[t[idx] <= t2][-MIN_FIT_POINTS:]
+        if back.size:  # leave MIN_FIT_POINTS usable points up to the end
+            t1 = min(t1, t[back[0]])
+    sel = usable & (t >= t1) & (t <= t2)
     npts = int(sel.sum())
-    if npts < MIN_FIT_POINTS:
-        if explicit:
-            raise InsufficientDataError(f"window ({t1}, {t2}) holds {npts} usable points;"
-                                        f" at least {MIN_FIT_POINTS} required")
-        # short series: widen the auto window backward to MIN_FIT_POINTS usable points
-        take = np.where(valid & np.isfinite(lnd) & (t <= t2))[0][-MIN_FIT_POINTS:]
-        sel = np.zeros_like(valid)
-        sel[take] = True
-        npts = take.size
-        if npts:
-            t1 = float(t[take[0]])
-    if npts < MIN_REGRESSION_POINTS:
-        raise InsufficientDataError("regression needs at least two usable points")
+    if npts < need:
+        raise InsufficientDataError(
+            f"window ({t1}, {t2}) holds {npts} usable points; at least {need} required{note}")
     design = np.column_stack([np.ones(npts), t[sel]])
     coef, *_ = np.linalg.lstsq(design, lnd[sel], rcond=None)
     fitted = design @ coef

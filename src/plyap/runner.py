@@ -1,8 +1,8 @@
 """Experiment orchestration: declarative configs in, data files and plots out.
 
 Every run is deterministic given its config; CSV outputs use fixed 17
-significant digit formatting so reruns are byte-identical, and every output
-file embeds the config hash.
+significant digit formatting so reruns are byte-identical, and every CSV and
+summary.json embeds the config hash (a figure's SVG does not).
 """
 
 import datetime
@@ -36,11 +36,10 @@ from .errors import (
     SaturationError,
 )
 from .estimators import (
-    MIN_FIT_POINTS,
-    MIN_REGRESSION_POINTS,
     asymptotic_estimate,
     detect_saturation,
     divergence_series,
+    fit_points_needed,
     ingest_overlap_series,
     read_overlap_csv,
 )
@@ -322,13 +321,13 @@ def _params(cfg: ExperimentConfig):
 
 
 def _check_window(window, n: int, at):
-    """Raise ConfigError unless window (None, or [t1, t2] with None open) holds the
-    fit times at(0) < ... < at(n - 1) a fit needs: MIN_FIT_POINTS between two bounds,
-    MIN_REGRESSION_POINTS up to the end of an open start, one past the start of an open end."""
+    """Raise ConfigError unless window (None, or [t1, t2] with None open) holds as
+    many of the fit times at(0) < ... < at(n - 1) as estimators.fit_points_needed
+    asks of its start: 4 from a given start, 2 from an open one."""
     t1, t2 = window or (None, None)
     held = (n if t2 is None else bisect_right(range(n), t2, key=at)) - (
         0 if t1 is None else bisect_left(range(n), t1, key=at))
-    need = 1 if t2 is None else MIN_REGRESSION_POINTS if t1 is None else MIN_FIT_POINTS
+    need = fit_points_needed(t1)
     if held < need:
         raise ConfigError(
             f"window {json.dumps(list(window))} holds {f'only {held}' if held else 'none'} of"

@@ -209,9 +209,11 @@ class TestAsymptoticEstimate:
         assert asymptotic_estimate(div, window=(1.0, 8.0), saturation_time=6.0).fit_window == (1.0, 8.0)
 
     def test_explicit_window_needs_four_points(self):
+        # a given start needs four points whether its end is given or open
         div = evolve_linear_analytic(2.0, 40)
-        with pytest.raises(InsufficientDataError):
-            asymptotic_estimate(div, window=(36.0, 38.0))
+        for window in [(36.0, 38.0), (37.0, None)]:
+            with pytest.raises(InsufficientDataError):
+                asymptotic_estimate(div, window=window)
 
     @pytest.mark.parametrize("window", [(None, 3.0), (1.0, None), (None, None)])
     def test_half_open_window_without_finite_increments(self, window):

@@ -87,7 +87,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "system, params, window, holds",
         [
-            ("linear", dict(steps=20), (19.0, None), True),
+            # a given start needs 4 fit times from it to the last, 19: 16 ... 19
+            ("linear", dict(steps=20), (16.0, None), True),
             ("linear", dict(steps=20), (19.5, None), False),
             ("linear", dict(steps=20, delta_index=2), (19.0, None), False),
             ("linear", dict(steps=20), (None, -0.5), False),
@@ -110,6 +111,9 @@ class TestConfig:
             # an open start needs 2 fit times up to its end
             ("linear", dict(steps=20), (None, 0.5), False),
             ("linear", dict(steps=20), (None, 1.0), True),
+            # 17 ... 19 and 19 are short of the 4 a given start needs, open end or not
+            ("linear", dict(steps=20), (17.0, None), False),
+            ("linear", dict(steps=20), (19.0, None), False),
         ],
     )
     def test_window_must_hold_a_fit_time(self, system, params, window, holds):
@@ -137,6 +141,17 @@ class TestRun:
         for name in ("distance.csv", "divergence.csv", "lambda_t.csv", "summary.json"):
             assert (tmp_path / "lin2" / name).exists()
         validate_summary(res.summary)
+
+    def test_given_start_is_kept_and_a_plateau_end_is_named(self):
+        # 20 linear steps: at theta 0 nothing saturates and [16, null] fits 16 ... 19;
+        # at the default theta t_b = 11 cuts the open end to 10.5, before the start
+        cfg = dict(id="lin", system="linear", steps=20, window=(16.0, None))
+        assert run(ExperimentConfig(**cfg, theta=0.0)).summary["fit_window"] == [16.0, 19.0]
+        summary = run(ExperimentConfig(**cfg)).summary
+        assert summary["classification"] == "saturated"
+        assert summary["detail"] == ("window (16.0, 10.5) holds 0 usable points; at least 4"
+                                     " required (its open end 10.5 is half a step before"
+                                     " t_b = 11.0)")
 
     def test_config_hash_embedded_everywhere(self, tmp_path):
         cfg = ExperimentConfig(id="lin", system="linear", r=2.0, steps=20, theta=0.0)
@@ -652,7 +667,12 @@ class TestCli:
          "window [26, 40] holds only 3 of the fit times 0 ... 28; a fit needs 4"),
         ({"system": "overlap_file", "window": [40, 50]},
          "window [40, 50] holds none of the fit times 0 ... 28; a fit needs 4"),
-    ], ids=["linear-3", "linear-open-start-1", "file-3", "file-past-the-end"])
+        ({"system": "linear", "steps": 20, "window": [17, None]},
+         "window [17, null] holds only 3 of the fit times 0 ... 19; a fit needs 4"),
+        ({"system": "overlap_file", "window": [26, None]},
+         "window [26, null] holds only 3 of the fit times 0 ... 28; a fit needs 4"),
+    ], ids=["linear-3", "linear-open-start-1", "file-3", "file-past-the-end",
+            "linear-open-end-3", "file-open-end-3"])
     def test_window_too_short_to_fit_exits_2(self, tmp_path, capsys, params, message, theta):
         # a file window is checked against the file's own times: 30 rows, fit times 0 ... 28
         series = tmp_path / "s.csv"
@@ -909,15 +929,16 @@ class TestFitWindows:
             cfg = ExperimentConfig.from_dict(data)
         except ConfigError as exc:
             assert exc.field == "window"
-            t1, t2 = data["window"]
-            if t2 is not None:  # an open end is the runner's own rule; the estimator widens it
-                div = run(ExperimentConfig.from_dict({**data, "window": None})).divergence
-                with pytest.raises(InsufficientDataError):
-                    estimators.asymptotic_estimate(
-                        div, window=(t1, t2), delta_index=data["delta_index"],
-                        saturation_time=estimators.detect_saturation(div))
+            div = run(ExperimentConfig.from_dict({**data, "window": None})).divergence
+            with pytest.raises(InsufficientDataError):
+                estimators.asymptotic_estimate(
+                    div, window=tuple(data["window"]), delta_index=data["delta_index"],
+                    saturation_time=estimators.detect_saturation(div))
         else:
-            assert run(cfg).summary["lambda"] is not None
+            summary = run(cfg).summary
+            assert summary["lambda"] is not None
+            # a given start is never moved
+            assert data["window"][0] is None or summary["fit_window"][0] >= data["window"][0]
 
 
 class TestExitCodes:
