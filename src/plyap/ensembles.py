@@ -4,9 +4,13 @@ Densities are piecewise constant on uniform grids and evolve by the exact
 pushforward: every output cell receives the average of the input density
 over the preimage of that cell.  For the piecewise-affine maps here the
 preimages are finite unions of rectangles, so the averages are exact and
-total mass is conserved to rounding.
+total mass is conserved to rounding.  A density may hold one value per
+block of equal cells (see GridDensity); the baker transfer keeps it on
+blocks, so a density that is constant on dyadic rectangles costs as many
+operations per step as it has blocks, not cells.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -37,8 +41,12 @@ __all__ = [
 class GridDensity:
     """Non-negative piecewise-constant probability density on a uniform grid.
 
-    ``values`` is a read-only view, which keeps the mass computed once at
-    construction valid; a float64 array is viewed, not copied.
+    ``values`` holds one value per block of equal cells: its shape divides
+    ``geometry.shape`` in each axis, and ``block`` = geometry.shape //
+    values.shape cells share each value.  A value per cell is the block
+    (1,) or (1, 1) case.  ``values`` is a read-only view, which keeps the
+    mass computed once at construction valid; a float64 array is viewed,
+    not copied.
     """
 
     values: np.ndarray
@@ -46,17 +54,20 @@ class GridDensity:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != self.geometry.shape:
+        shape = self.geometry.shape
+        if v.ndim != len(shape) or any(k == 0 or s % k for s, k in zip(shape, v.shape)):
             raise InvalidStateError(
-                f"value shape {v.shape} does not match geometry {self.geometry.shape}"
+                f"value shape {v.shape} does not divide geometry {shape}"
             )
         v = v.view()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-        # two reductions, no boolean temporaries: NaN fails the minimum, and with
-        # every value >= 0 an infinite value or an overflowing sum makes the mass inf
+        # two reductions over the blocks, no boolean temporaries: NaN fails the
+        # minimum, and with every value >= 0 an infinite value or an overflowing
+        # sum makes the mass inf
+        block_weight = self.geometry.cell_weight * (math.prod(shape) // v.size)
         with np.errstate(over="ignore"):
-            mass = float(v.sum() * self.geometry.cell_weight)
+            mass = float(v.sum() * block_weight)
         if not (v.min() >= 0.0 and mass < np.inf):
             raise InvalidStateError(
                 "density values must be finite and non-negative, with finite mass"
@@ -68,6 +79,24 @@ class GridDensity:
     @property
     def mass(self) -> float:
         return self._mass
+
+    @property
+    def block(self) -> tuple:
+        """Cells per value along each axis."""
+        return tuple(s // k for s, k in zip(self.geometry.shape, self.values.shape))
+
+
+def _cells(blocks: np.ndarray, shape: tuple) -> np.ndarray:
+    """Values on equal blocks spread to one value per cell of shape.
+
+    Returns blocks itself when it already holds one value per cell, and
+    otherwise writes the cell array once.
+    """
+    if blocks.shape == shape:
+        return blocks
+    spread = [k for b, s in zip(blocks.shape, shape) for k in (b, s // b)]
+    pinned = blocks.reshape([k for b in blocks.shape for k in (b, 1)])
+    return np.broadcast_to(pinned, spread).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -152,9 +181,10 @@ def sqrt_embed(rho: GridDensity) -> ProjectiveState:
     """Embed a density into real Hilbert space by the cell-wise square root.
 
     Overlaps of two embeddings equal the integral of sqrt(rho1 * rho2) under
-    the grid quadrature.
+    the grid quadrature.  The root is taken on the blocks, and the result
+    is then written once with one amplitude per cell.
     """
-    return ProjectiveState(np.sqrt(rho.values), rho.geometry)
+    return ProjectiveState(_cells(np.sqrt(rho.values), rho.geometry.shape), rho.geometry)
 
 
 def density_overlap(reference: ProjectiveState):
@@ -164,18 +194,21 @@ def density_overlap(reference: ProjectiveState):
     clamped to 1, for densities on the reference's grid.  Only the rows
     (first-axis indices) from the first to the last that hold the reference's
     support enter the sum, and ||sqrt_embed(rho)||^2 is rho's mass, so no
-    embedding of rho is built.
+    embedding of rho is built.  Row i of a block density is its value row
+    i // block[0], spread along the other axis.
     """
     ref = reference.amplitudes
-    rows = np.flatnonzero(ref.reshape(ref.shape[0], -1).any(axis=1))
-    support = slice(rows[0], rows[-1] + 1)
-    ref_rows = ref[support].ravel().copy()  # the full reference need not stay alive
+    nonzero = np.flatnonzero(ref.reshape(ref.shape[0], -1).any(axis=1))
+    rows = np.arange(nonzero[0], nonzero[-1] + 1)
+    ref_rows = ref[rows].ravel()  # a copy: the full reference need not stay alive
     basis, weight, ref_norm = reference.basis, reference.weight, reference.norm()
+    support_shape = (rows.size,) + basis.shape[1:]
 
     def overlap(rho: GridDensity) -> float:
         if rho.geometry != basis:
             raise BasisMismatchError(f"bases differ: {rho.geometry!r} vs {basis!r}")
-        inner = np.dot(np.sqrt(rho.values[support]).ravel(), ref_rows) * weight
+        root = np.sqrt(rho.values[rows // rho.block[0]])
+        inner = np.dot(_cells(root, support_shape).ravel(), ref_rows) * weight
         return float(min(1.0, inner / (np.sqrt(rho.mass) * ref_norm)))
 
     return overlap
@@ -221,26 +254,36 @@ def _transfer_rotation(values: np.ndarray, grid: GridBasis1D, c: float) -> np.nd
     return f * lo + (1.0 - f) * hi
 
 
-def _baker_kernel(f: np.ndarray) -> np.ndarray:
-    """Cell-averaged exact pushforward of the baker map, arrays [ix, iy].
+def _baker_kernel(c: np.ndarray, n: int) -> np.ndarray:
+    """Cell-averaged exact pushforward of the baker map on an n x n grid;
+    takes and returns values per block, arrays [ix, iy].
 
-    Output cell (i, j) averages the input over its preimage rectangle:
-    half an x-cell (where the input is constant anyway) by two stacked
-    y-cells.  Output rows 2k and 2k+1 share input row k (left half of y)
-    and row h + k (right half): the y-pair sums are written into the odd
-    rows, then halved into the even rows and in place.  A ufunc writing
-    one interleaved row view from the other makes no temporary copy (a
-    slice assignment would), so only the output is allocated.
+    Output cell (i, j) averages the input over its preimage rectangle: half
+    an x-cell (where the input is constant anyway) by the y-cells 2j' and
+    2j' + 1 of input row i // 2 (j' = j < n/2) or n/2 + i // 2 (j' = j - n/2).
+    On blocks of bx x by cells, the left (x < 1/2) and right block rows
+    are set side by side in y, as blocks of 2bx x by/2:
+    - by even: each y-pair lies in one block, so the step only rearranges;
+    - by 1: the pairs are averaged as (a + b) * 0.5, written straight into
+      the output, which is all the step allocates on a full grid;
+    - by odd > 1, or an odd count of block rows: the blocks are split first,
+      by into single cells and bx in two (a single block row is set beside
+      itself).
+    Each cell comes out bit for bit as the per-cell formula gives it.
     """
-    n = f.shape[0]
-    h = n // 2
-    out = np.empty(f.shape, dtype=f.dtype)
-    rows = out.reshape(h, 2, n)
-    odd = rows[:, 1]
-    np.add(f[:h, 0::2], f[:h, 1::2], out=odd[:, :h])
-    np.add(f[h:, 0::2], f[h:, 1::2], out=odd[:, h:])
-    np.multiply(odd, 0.5, out=rows[:, 0])
-    odd *= 0.5
+    by = n // c.shape[1]
+    if by % 2 and by > 1:
+        c, by = np.repeat(c, by, axis=1), 1
+    if c.shape[0] % 2:
+        c = np.repeat(c, 2, axis=0)
+    h = c.shape[0] // 2
+    if by > 1:
+        return np.concatenate([c[:h], c[h:]], axis=1)
+    w = c.shape[1] // 2
+    out = np.empty((h, 2 * w), dtype=c.dtype)
+    np.add(c[:h, 0::2], c[:h, 1::2], out=out[:, :w])
+    np.add(c[h:, 0::2], c[h:, 1::2], out=out[:, w:])
+    out *= 0.5
     return out
 
 
@@ -249,22 +292,24 @@ def transfer_step(rho: GridDensity, m: MapDescriptor) -> GridDensity:
 
     Output cell values are the exact averages of the input density over the
     preimages of the cells; mass is conserved to rounding and positivity is
-    preserved.
+    preserved.  The baker step keeps the density on blocks (an n x 1 slab
+    stays at n values); the 1D maps return one value per cell.
     """
     geom = rho.geometry
     if m.kind == "baker":
         if not isinstance(geom, GridBasis2D) or geom.nx != geom.ny or geom.nx % 2:
             raise DomainError("baker transfer needs a square 2D grid with even side")
-        return GridDensity(_baker_kernel(rho.values), geom)
+        return GridDensity(_baker_kernel(rho.values, geom.nx), geom)
     if not isinstance(geom, GridBasis1D):
         raise DomainError(f"{m.kind} transfer needs a 1D grid")
+    values = _cells(rho.values, geom.shape)
     if m.kind == "linear":
-        return GridDensity(_transfer_linear(rho.values, geom, m.r), geom)
+        return GridDensity(_transfer_linear(values, geom, m.r), geom)
     if (geom.x_lo, geom.x_hi) != (0.0, 1.0):
         raise DomainError(f"{m.kind} transfer is defined on the unit interval")
     if m.kind == "r_adic":
-        return GridDensity(_transfer_r_adic(rho.values, int(m.r)), geom)
-    return GridDensity(_transfer_rotation(rho.values, geom, m.c), geom)
+        return GridDensity(_transfer_r_adic(values, int(m.r)), geom)
+    return GridDensity(_transfer_rotation(values, geom, m.c), geom)
 
 
 def koopman_step(state: ProjectiveState, m: MapDescriptor) -> ProjectiveState:
@@ -280,7 +325,7 @@ def koopman_step(state: ProjectiveState, m: MapDescriptor) -> ProjectiveState:
     geom = state.basis
     if not isinstance(geom, GridBasis2D) or geom.nx != geom.ny or geom.nx % 2:
         raise DomainError("koopman step needs a square 2D grid with even side")
-    return ProjectiveState(_baker_kernel(state.amplitudes), geom)
+    return ProjectiveState(_cells(_baker_kernel(state.amplitudes, geom.nx), geom.shape), geom)
 
 
 def evolve_linear_analytic(r: float, n: int, theta: float = 0.0):

@@ -92,11 +92,13 @@ def _r_adic_start(p):
 def _baker_start(p):
     # vertical slab [0, width) x [0, 1): its baker self-overlap is the exact
     # intersection measure 2^-t (full rate ln 2; the invertible map has no
-    # pushforward dilution to halve it).  Constant in y, it is a read-only
-    # broadcast of the square along x, so no n x n array is written.
+    # pushforward dilution to halve it).  Constant in y, it is one block
+    # column: n values on blocks of 1 x n cells.  The transfer keeps it on
+    # n blocks of 2^t x n/2^t cells, so a step costs O(n), and the
+    # reference's embedding is the run's only n x n array.
     n = 2 ** p["grid_m"]
     x = square_density(p["init_width"], GridBasis1D(n, 0.0, 1.0)).values
-    rho = GridDensity(np.broadcast_to(x[:, None], (n, n)), GridBasis2D(n, n))
+    rho = GridDensity(x[:, None], GridBasis2D(n, n))
     return rho, lambda d: transfer_step(d, baker_map()), density_overlap(sqrt_embed(rho))
 
 

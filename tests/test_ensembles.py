@@ -27,6 +27,8 @@ from plyap import (
 from plyap.ensembles import _baker_kernel
 from plyap.geometry import ProjectiveState
 
+from oracles import gather_baker_kernel, repeat_blocks
+
 
 def classical_baker(points):
     """Pointwise baker map for the Monte Carlo oracle."""
@@ -101,6 +103,32 @@ class TestSquareDensity:
         with pytest.raises(ValueError):
             rho.values[0] = 5.0
 
+    @pytest.mark.parametrize(
+        "shape, geom",
+        [((3, 4), GridBasis2D(8, 8)), ((8, 0), GridBasis2D(8, 8)), ((8,), GridBasis2D(8, 8)),
+         ((3,), GridBasis1D(8)), ((0,), GridBasis1D(8)), ((2, 2), GridBasis1D(4))],
+    )
+    def test_values_must_divide_the_grid(self, shape, geom):
+        with pytest.raises(InvalidStateError, match="does not divide"):
+            GridDensity(np.ones(shape), geom)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (96, 1), (1, 96), (8, 16), (32, 3), (3, 32)])
+    def test_block_mass_matches_its_expansion(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        geom = GridBasis2D(96, 96)
+        values = rng.random(shape) * 7.0
+        blocks = GridDensity(values, geom)
+        full = GridDensity(repeat_blocks(values, geom.shape), geom)
+        assert blocks.block == tuple(s // k for s, k in zip(geom.shape, shape))
+        assert blocks.mass == pytest.approx(full.mass, rel=1e-15)
+
+    def test_one_dimensional_blocks(self):
+        rho = GridDensity(np.array([2.0, 0.0]), GridBasis1D(8))
+        assert rho.block == (4,)
+        assert rho.mass == 1.0
+        out = transfer_step(rho, r_adic_map(2))
+        assert np.array_equal(out.values, np.ones(8))
+
 
 class TestSqrtEmbedding:
     def test_uniform_density_constant_amplitudes(self):
@@ -140,6 +168,27 @@ class TestSqrtEmbedding:
         # a complex copy of the square roots alone would add two real states
         assert peak < 1.25 * rho.values.nbytes
 
+    @pytest.mark.parametrize("shape", [(64, 1), (1, 64), (16, 4)])
+    def test_block_embedding_equals_the_embedded_cells(self, shape):
+        rng = np.random.default_rng(3)
+        geom = GridBasis2D(64, 64)
+        values = rng.random(shape)
+        psi = sqrt_embed(GridDensity(values, geom))
+        assert psi.amplitudes.shape == geom.shape
+        assert np.array_equal(psi.amplitudes, np.sqrt(repeat_blocks(values, geom.shape)))
+
+    def test_block_embedding_allocates_only_its_output(self):
+        rho = GridDensity(np.ones((512, 1)), GridBasis2D(512, 512))
+        sqrt_embed(rho)
+        tracemalloc.start()
+        try:
+            psi = sqrt_embed(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # expanding before the root would write the cells twice
+        assert peak < 1.25 * psi.amplitudes.nbytes
+
 
 class TestDensityOverlap:
     @pytest.mark.parametrize("shape", [(64,), (16, 16)])
@@ -166,6 +215,20 @@ class TestDensityOverlap:
         assert overlap(GridDensity(a, grid)) == pytest.approx(1.0, rel=1e-15)
         assert overlap(GridDensity(a, grid)) <= 1.0
         assert overlap(GridDensity(b, grid)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(64, 1), (8, 8), (1, 64), (32, 2), (16,)])
+    def test_block_density_reads_as_its_cells(self, shape):
+        rng = np.random.default_rng(11)
+        grid = GridBasis1D(64) if len(shape) == 1 else GridBasis2D(64, 64)
+        ref_values = np.zeros(grid.shape)
+        ref_values[5:19] = rng.random(ref_values[5:19].shape)
+        overlap = density_overlap(sqrt_embed(GridDensity(ref_values, grid)))
+        values = rng.random(shape) + 0.1
+        blocks = GridDensity(values, grid)
+        cells = GridDensity(repeat_blocks(values, grid.shape), grid)
+        assert overlap(blocks) == pytest.approx(overlap(cells), rel=1e-15)
+        expect = overlap_magnitude(sqrt_embed(cells), sqrt_embed(GridDensity(ref_values, grid)))
+        assert overlap(blocks) == pytest.approx(expect, rel=1e-13)
 
     def test_other_grid_rejected(self):
         overlap = density_overlap(sqrt_embed(square_density(0.5, GridBasis1D(8))))
@@ -203,7 +266,7 @@ class TestTransferStep:
     def test_uniform_fixed_point_baker(self):
         rho = GridDensity(np.ones((32, 32)), GridBasis2D(32, 32))
         out = transfer_step(rho, baker_map())
-        assert np.array_equal(out.values, rho.values)
+        assert np.array_equal(repeat_blocks(out.values, (32, 32)), rho.values)
 
     def test_r_adic_left_half_one_step_to_uniform(self):
         # P rho(x) = (rho(x/2) + rho((x+1)/2)) / 2 sends 2*1_[0,1/2) to 1
@@ -255,7 +318,7 @@ class TestTransferStep:
         pts[:, 0] *= 0.5
         pts = classical_baker(classical_baker(pts))
         hist, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=n, range=[[0, 1], [0, 1]])
-        p_grid = rho.values / (n * n)
+        p_grid = repeat_blocks(rho.values, (n, n)) / (n * n)
         p_mc = hist / m_samples
         assert np.max(np.abs(p_grid - p_mc)) < 2.0 / np.sqrt(m_samples)
 
@@ -305,19 +368,6 @@ class TestMixingLimit:
         assert ov == pytest.approx(np.sqrt(w), abs=1e-3)
 
 
-def gather_baker_kernel(f):
-    """The baker pushforward by explicit preimage gathers, kept as the oracle."""
-    n = f.shape[0]
-    half = n // 2
-    out = np.empty_like(f)
-    i = np.arange(n)
-    jlo = np.arange(half)
-    jhi = np.arange(half, n)
-    out[:, :half] = 0.5 * (f[i // 2][:, 2 * jlo] + f[i // 2][:, 2 * jlo + 1])
-    out[:, half:] = 0.5 * (f[(i + n) // 2][:, 2 * jhi - n] + f[(i + n) // 2][:, 2 * jhi - n + 1])
-    return out
-
-
 class TestBakerKernel:
     @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [2, 4, 64, 1024])
@@ -326,15 +376,41 @@ class TestBakerKernel:
         f = rng.random((n, n))
         if complex_field:
             f = f + 1j * rng.standard_normal((n, n))
-        assert np.array_equal(_baker_kernel(f), gather_baker_kernel(f))
+        assert np.array_equal(repeat_blocks(_baker_kernel(f, n), (n, n)), gather_baker_kernel(f))
+
+    @pytest.mark.parametrize("start", ["full", "slab", "x-constant"])
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 4, 6, 12, 64, 1024])
+    def test_block_steps_equal_the_gather_kernel(self, n, complex_field, start):
+        # the blocks of a side that is not a power of two stop aligning and are
+        # split; those of a power of two settle at 1 x n blocks after log2(n)
+        # steps, so at n = 1024 twelve steps cover every branch (n + 2 steps of
+        # the n x n oracle would take minutes there)
+        rng = np.random.default_rng(n)
+        shape = {"full": (n, n), "slab": (n, 1), "x-constant": (1, n)}[start]
+        blocks = rng.random(shape)
+        if complex_field:
+            blocks = blocks + 1j * rng.standard_normal(shape)
+        cells = repeat_blocks(blocks, (n, n))
+        for _ in range(n + 2 if n < 1024 else 12):
+            blocks = _baker_kernel(blocks, n)
+            cells = gather_baker_kernel(cells)
+            assert np.array_equal(repeat_blocks(blocks, (n, n)), cells)
+
+    def test_slab_stays_on_n_blocks(self):
+        n = 64
+        rho = GridDensity(np.arange(1.0, n + 1)[:, None], GridBasis2D(n, n))
+        for t in range(1, 10):
+            rho = transfer_step(rho, baker_map())
+            assert rho.values.shape == (max(n >> t, 1), min(2**t, n))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_allocates_only_its_output(self, dtype):
         f = np.ones((512, 512), dtype=dtype)
-        _baker_kernel(f)
+        _baker_kernel(f, 512)
         tracemalloc.start()
         try:
-            out = _baker_kernel(f)
+            out = _baker_kernel(f, 512)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -376,6 +452,13 @@ class TestKoopman:
         psi = ProjectiveState(np.ones((8, 8)), geom)
         with pytest.raises(DomainError):
             koopman_step(psi, r_adic_map(2))
+
+    @pytest.mark.parametrize("n", [6, 64])
+    def test_equals_the_gather_kernel_on_every_cell(self, n):
+        rng = np.random.default_rng(n)
+        f = rng.random((n, n)) + 1j * rng.random((n, n))
+        out = koopman_step(ProjectiveState(f, GridBasis2D(n, n)), baker_map())
+        assert np.array_equal(out.amplitudes, gather_baker_kernel(f))
 
 
 def bandlimited_state(rng, n, k_max):
