@@ -8,7 +8,6 @@ from .errors import (
     DataFormatError,
     DegeneratePathError,
     DomainError,
-    DomainOverflowError,
     InsufficientDataError,
     InvalidStateError,
     NumericalOverflowError,
@@ -24,6 +23,7 @@ from .geometry import (
     classical_divergence,
     fubini_study_distance,
     hilbert_distance,
+    log_abs_exp_diff,
     log_projective_divergence,
     overlap_magnitude,
 )
@@ -41,7 +41,6 @@ from .ensembles import (
     baker_map,
     density_overlap,
     evolve_linear_analytic,
-    koopman_step,
     linear_map,
     r_adic_map,
     rotation_map,
@@ -61,15 +60,12 @@ from .estimators import (
 from .quantum import (
     GaussianState,
     QuadraticSystem,
-    barrier_overlap_paper,
     bvs_baker,
     bvs_coherent_state,
     gaussian_autocorrelation,
-    gaussian_on_grid,
-    plan_split_grid,
-    split_operator_propagate,
 )
 from .runner import (
+    FIGURE_IDS,
     SUMMARY_SCHEMA,
     ExperimentConfig,
     ExperimentResult,

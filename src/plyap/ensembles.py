@@ -1,13 +1,15 @@
 """Grid densities, the built-in classical maps, and their exact evolution.
 
-Densities are piecewise constant on uniform grids and evolve by the exact
-pushforward: every output cell receives the average of the input density
-over the preimage of that cell.  For the piecewise-affine maps here the
-preimages are finite unions of rectangles, so the averages are exact and
-total mass is conserved to rounding.  A density may hold one value per
-block of equal cells (see GridDensity); the baker transfer keeps it on
-blocks, so a density that is constant on dyadic rectangles costs as many
-operations per step as it has blocks, not cells.
+Four maps are declared here: linear(r), r_adic(r), the baker and
+rotation(c).  Each acts on points (apply_map, which the trajectory
+exponents use).  The baker and the r-adic map also evolve densities:
+piecewise constant on uniform grids, by the exact pushforward, where every
+output cell receives the average of the input density over the preimage
+of that cell.  Those preimages are finite unions of rectangles, so the
+averages are exact and total mass is conserved to rounding.  A density may
+hold one value per block of equal cells (see GridDensity); the baker
+transfer keeps it on blocks, so a density that is constant on dyadic
+rectangles costs as many operations per step as it has blocks, not cells.
 """
 
 import math
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatchError, DomainError, DomainOverflowError, InvalidStateError
+from .errors import BasisMismatchError, DomainError, InvalidStateError
 from .geometry import GridBasis1D, GridBasis2D, ProjectiveState
 from .series import series_from_log_overlaps
 
@@ -32,7 +34,6 @@ __all__ = [
     "sqrt_embed",
     "density_overlap",
     "transfer_step",
-    "koopman_step",
     "evolve_linear_analytic",
 ]
 
@@ -214,25 +215,6 @@ def density_overlap(reference: ProjectiveState):
     return overlap
 
 
-def _transfer_linear(values: np.ndarray, grid: GridBasis1D, r: float) -> np.ndarray:
-    # rho'(x) = rho(x/r)/r; cell averages via the exact piecewise-linear
-    # cumulative integral (np.interp on the cumulative is exact for
-    # piecewise-constant densities).
-    if grid.x_lo != 0.0:
-        raise DomainError("linear transfer expects a grid starting at 0")
-    dx = grid.cell_width
-    edges = np.arange(grid.n + 1) * dx
-    cum = np.concatenate([[0.0], np.cumsum(values) * dx])
-    pulled = np.interp(edges / r, edges, cum)
-    out = np.diff(pulled) / dx
-    lost = (cum[-1] - pulled[-1]) / cum[-1]
-    if lost > 1e-12:
-        raise DomainOverflowError(
-            f"linear map pushed {lost:.3e} of the mass beyond x_hi; enlarge the domain"
-        )
-    return np.maximum(out, 0.0)
-
-
 def _transfer_r_adic(values: np.ndarray, r: int) -> np.ndarray:
     # Preimage of output cell i under branch j is a single input cell:
     # out[i] = mean_j values[(i + j*n) // r], exact for integer r.
@@ -242,16 +224,6 @@ def _transfer_r_adic(values: np.ndarray, r: int) -> np.ndarray:
     for j in range(r):
         acc += values[(i + j * n) // r]
     return acc / r
-
-
-def _transfer_rotation(values: np.ndarray, grid: GridBasis1D, c: float) -> np.ndarray:
-    shift = c * grid.n
-    q = int(np.floor(shift))
-    f = shift - q
-    i = np.arange(grid.n)
-    lo = values[(i - q - 1) % grid.n]
-    hi = values[(i - q) % grid.n]
-    return f * lo + (1.0 - f) * hi
 
 
 def _baker_kernel(c: np.ndarray, n: int) -> np.ndarray:
@@ -288,44 +260,26 @@ def _baker_kernel(c: np.ndarray, n: int) -> np.ndarray:
 
 
 def transfer_step(rho: GridDensity, m: MapDescriptor) -> GridDensity:
-    """One exact Frobenius-Perron step of a built-in map.
+    """One exact Frobenius-Perron step of the baker or an r-adic map.
 
     Output cell values are the exact averages of the input density over the
     preimages of the cells; mass is conserved to rounding and positivity is
     preserved.  The baker step keeps the density on blocks (an n x 1 slab
-    stays at n values); the 1D maps return one value per cell.
+    stays at n values); the r-adic step returns one value per cell.  Other
+    maps have no transfer here and raise DomainError.
     """
     geom = rho.geometry
     if m.kind == "baker":
         if not isinstance(geom, GridBasis2D) or geom.nx != geom.ny or geom.nx % 2:
             raise DomainError("baker transfer needs a square 2D grid with even side")
         return GridDensity(_baker_kernel(rho.values, geom.nx), geom)
+    if m.kind != "r_adic":
+        raise DomainError(f"transfer_step evolves the baker and r-adic maps, not {m.kind!r}")
     if not isinstance(geom, GridBasis1D):
         raise DomainError(f"{m.kind} transfer needs a 1D grid")
-    values = _cells(rho.values, geom.shape)
-    if m.kind == "linear":
-        return GridDensity(_transfer_linear(values, geom, m.r), geom)
     if (geom.x_lo, geom.x_hi) != (0.0, 1.0):
         raise DomainError(f"{m.kind} transfer is defined on the unit interval")
-    if m.kind == "r_adic":
-        return GridDensity(_transfer_r_adic(values, int(m.r)), geom)
-    return GridDensity(_transfer_rotation(values, geom, m.c), geom)
-
-
-def koopman_step(state: ProjectiveState, m: MapDescriptor) -> ProjectiveState:
-    """Compose a complex amplitude field with the inverse baker map.
-
-    Same cell-intersection bookkeeping as transfer_step, applied to
-    amplitudes.  For the measure-preserving baker this is an isometry up to
-    the grid's averaging error (exact when the field is constant on the
-    image partition).
-    """
-    if m.kind != "baker":
-        raise DomainError(f"koopman step supports the baker map only, not {m.kind!r}")
-    geom = state.basis
-    if not isinstance(geom, GridBasis2D) or geom.nx != geom.ny or geom.nx % 2:
-        raise DomainError("koopman step needs a square 2D grid with even side")
-    return ProjectiveState(_cells(_baker_kernel(state.amplitudes, geom.nx), geom.shape), geom)
+    return GridDensity(_transfer_r_adic(_cells(rho.values, geom.shape), int(m.r)), geom)
 
 
 def evolve_linear_analytic(r: float, n: int, theta: float = 0.0):

@@ -49,9 +49,5 @@ class ConfigError(PlyapError):
         self.field = field
 
 
-class DomainOverflowError(PlyapError):
-    """Probability mass escaped the represented domain."""
-
-
 class NumericalOverflowError(PlyapError):
     """A trajectory or series left the range of double precision."""

@@ -78,9 +78,6 @@ class GridBasis1D:
     def cell_weight(self) -> float:
         return self.cell_width
 
-    def centers(self) -> np.ndarray:
-        return self.x_lo + (np.arange(self.n) + 0.5) * self.cell_width
-
 
 @dataclass(frozen=True)
 class GridBasis2D:

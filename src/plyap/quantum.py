@@ -1,27 +1,24 @@
 """Quadratic-potential wavepacket dynamics and the quantized baker map.
 
-Two independent routes to the same physics: exact Gaussian dynamics via the
-Moebius evolution of the complex width parameter (closed form, no grid), and
-a split-operator grid propagator used as a numerical oracle.  The quantized
-baker lives on an N-dimensional position grid q_j = (j+1/2)/N with the
-antiperiodic discrete Fourier transform between position and momentum.
+Gaussian dynamics are exact: the Moebius evolution of the complex width
+parameter gives the autocorrelation in closed form, with no grid.  The test
+suite checks that form against an independent split-operator grid
+propagator (tests/oracles.py).  The quantized baker lives on an
+N-dimensional position grid q_j = (j+1/2)/N with the antiperiodic discrete
+Fourier transform between position and momentum.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, DomainOverflowError
-from .geometry import DiscreteBasis, GridBasis1D, ProjectiveState
+from .errors import DomainError
+from .geometry import DiscreteBasis, ProjectiveState
 
 __all__ = [
     "QuadraticSystem",
     "GaussianState",
     "gaussian_autocorrelation",
-    "barrier_overlap_paper",
-    "plan_split_grid",
-    "gaussian_on_grid",
-    "split_operator_propagate",
     "bvs_baker",
     "bvs_coherent_state",
 ]
@@ -44,9 +41,6 @@ class QuadraticSystem:
         if self.sign not in (+1, -1):
             raise DomainError("sign must be +1 (oscillator) or -1 (barrier)")
 
-    def potential(self, x):
-        return 0.5 * self.sign * self.omega**2 * np.asarray(x) ** 2
-
 
 @dataclass(frozen=True)
 class GaussianState:
@@ -62,16 +56,18 @@ class GaussianState:
 def _width_param(sys: QuadraticSystem, omega0: float, t) -> np.ndarray:
     """Complex width a(t) of the evolving centered Gaussian, a(0) = omega0.
 
-    a obeys da/dt = -i (a^2 - sign * omega^2); the Moebius solution is
-    written in overflow- and cancellation-free form.
+    a obeys da/dt = -i (a^2 - sign * omega^2).  With u = a / omega,
+    u0 = omega0 / omega and tau = omega t, the oscillator's Moebius solution
+    is u = (u0 cos tau + i sin tau) / (cos tau + i u0 sin tau), which holds
+    u(0) = u0 exactly however far u0 lies from 1; the barrier's is written
+    with expm1, free of cancellation at small t.
     """
     t = np.asarray(t, dtype=float)
     w = sys.omega
     u0 = omega0 / w
     if sys.sign > 0:
-        k = (u0 - 1.0) / (u0 + 1.0)
-        z = k * np.exp(-2j * w * t)
-        u = (1.0 + z) / (1.0 - z)
+        c, s = np.cos(w * t), np.sin(w * t)
+        u = (u0 * c + 1j * s) / (c + 1j * u0 * s)
     else:
         decay = np.exp(-2.0 * w * t)
         one_m = -np.expm1(-2.0 * w * t)
@@ -86,96 +82,20 @@ def gaussian_autocorrelation(sys: QuadraticSystem, g: GaussianState, t):
 
     Closed form from the width evolution: with a0 = omega0 and a = a(t),
 
-        |overlap|^2 = 2 sqrt(a0 Re a) / |a0 + a|.
+        |overlap|^2 = 2 sqrt(a0 Re a) / |a0 + a| = 2 sqrt(Re r) / |1 + r|,  r = a / a0.
 
     Periodic with period pi/omega for the oscillator (identically 1 when
     omega0 = omega, the stationary ray); decays like exp(-omega t / 2) for
     the barrier.
     """
     a = _width_param(sys, g.omega0, t)
-    out = np.sqrt(2.0 * np.sqrt(g.omega0 * a.real) / np.abs(g.omega0 + a))
+    # r part by part (a complex quotient would round r(0) off 1), with a0
+    # rounded as _width_param rounds a(0): r(0) = 1 exactly, and there is no
+    # product a0 Re a to overflow or underflow
+    a0 = sys.omega * (g.omega0 / sys.omega)
+    r = a.real / a0 + 1j * (a.imag / a0)
+    out = np.sqrt(2.0 * np.sqrt(r.real) / np.abs(1.0 + r))
     return float(out) if out.ndim == 0 else out
-
-
-def barrier_overlap_paper(omega0: float, omega: float, t):
-    """The quoted closed form (cosh^2 wt + (w/w0 - w0/w)^2 sinh^2 wt)^(-1/4).
-
-    Reduces to (cosh wt)^(-1/2) at omega0 = omega.  For omega0 != omega the
-    independent Gaussian dynamics match this form only with the cross
-    coefficient halved; the discrepancy is exercised by a dedicated
-    diagnostic test rather than reconciled here.
-    """
-    if omega0 <= 0.0 or omega <= 0.0:
-        raise DomainError("frequencies must be positive")
-    t = np.asarray(t, dtype=float)
-    chi = omega / omega0 - omega0 / omega
-    c = np.cosh(omega * t)
-    s = np.sinh(omega * t)
-    out = (c * c + chi * chi * s * s) ** -0.25
-    return float(out) if out.ndim == 0 else out
-
-
-def plan_split_grid(sys: QuadraticSystem, g: GaussianState, duration: float) -> GridBasis1D:
-    """Size a grid that holds the state over the run.
-
-    Barrier evolutions spread exponentially in both position and momentum,
-    so the box and the cell size both come from the analytic width at the
-    final time, padded by 8 standard deviations.
-    """
-    ts = np.linspace(0.0, max(duration, 1e-12), 17)
-    a = _width_param(sys, g.omega0, ts)
-    sx = np.sqrt(1.0 / (2.0 * a.real))
-    sp = np.sqrt(0.5) * np.abs(a) / np.sqrt(a.real)
-    half_width = 8.0 * float(np.max(sx))
-    p_max = 8.0 * float(np.max(sp))
-    dx = np.pi / (1.25 * p_max)
-    n = 1 << int(np.ceil(np.log2(max(2.0 * half_width / dx, 64.0))))
-    return GridBasis1D(n, -half_width, half_width)
-
-
-def gaussian_on_grid(g: GaussianState, grid: GridBasis1D) -> ProjectiveState:
-    """Sample the Gaussian wavefunction on the grid centers."""
-    x = grid.centers()
-    return ProjectiveState(np.exp(-0.5 * g.omega0 * x**2), grid)
-
-
-def split_operator_propagate(
-    psi: ProjectiveState, sys: QuadraticSystem, dt: float, steps: int
-) -> ProjectiveState:
-    """Symmetric kinetic/potential splitting on a uniform grid.
-
-    Half potential phase, full kinetic phase in Fourier space, half
-    potential phase per step; unitary up to rounding, so the norm is
-    preserved to ~1e-14 per step.  Requires dt * omega <= 0.01.  After the
-    run, more than 1e-8 of the probability mass in the outer 10% of the
-    grid raises DomainOverflowError (the box was too small and overlaps are
-    untrustworthy).
-    """
-    grid = psi.basis
-    if not isinstance(grid, GridBasis1D):
-        raise DomainError("split-operator propagation needs a 1D grid state")
-    if steps < 0:
-        raise DomainError("step count must be non-negative")
-    if dt * sys.omega > 0.01 + 1e-12:
-        raise DomainError("dt * omega must not exceed 0.01")
-    x = grid.centers()
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.cell_width)
-    half_v = np.exp(-0.5j * dt * sys.potential(x))
-    kinetic = np.exp(-0.5j * dt * k * k)
-    amp = psi.amplitudes.astype(np.complex128)
-    for _ in range(steps):
-        amp *= half_v
-        amp = np.fft.ifft(kinetic * np.fft.fft(amp, norm="ortho"), norm="ortho")
-        amp *= half_v
-    out = ProjectiveState(amp, grid)
-    edge = max(1, grid.n // 20)
-    prob = np.abs(amp) ** 2
-    outer = (prob[:edge].sum() + prob[-edge:].sum()) / prob.sum()
-    if outer > 1e-8:
-        raise DomainOverflowError(
-            f"{outer:.2e} of the mass sits in the outer 10% of the grid; enlarge the domain"
-        )
-    return out
 
 
 def bvs_baker(N: int):

@@ -20,24 +20,27 @@ from plyap import (
     evolve_linear_analytic,
     finite_time_p_lyapunov,
     gaussian_autocorrelation,
-    gaussian_on_grid,
     hilbert_distance,
     ingest_overlap_series,
-    koopman_step,
     linear_map,
     overlap_magnitude,
-    plan_split_grid,
     r_adic_map,
     rotation_map,
-    split_operator_propagate,
     sqrt_embed,
     square_density,
     transfer_step,
     trajectory_lyapunov,
 )
-from plyap.ensembles import GridBasis2D
-from plyap.quantum import GaussianState, QuadraticSystem, barrier_overlap_paper
+from plyap.quantum import GaussianState, QuadraticSystem
 from plyap.runner import ExperimentConfig, figure, run
+
+from oracles import (
+    barrier_overlap_paper,
+    gaussian_on_grid,
+    linear_transfer,
+    plan_split_grid,
+    split_operator_propagate,
+)
 
 LN = np.log
 
@@ -62,7 +65,7 @@ def test_criterion_2_fig1a_grid_matches_analytic():
     states = [ref]
     cur = rho
     for _ in range(10):
-        cur = transfer_step(cur, linear_map(2.0))
+        cur = linear_transfer(cur, 2.0)
         states.append(sqrt_embed(cur))
     times = np.arange(11.0)
     div_grid = divergence_series(
@@ -199,25 +202,13 @@ def test_criterion_6_r_adic_localized_default():
 
 
 def test_criterion_7_koopman_transfer_and_trajectories():
+    # the Koopman propagator that named this criterion is gone with its
+    # system; the transfer and trajectory checks remain
     rng = np.random.default_rng(23)
     grid = GridBasis1D(4096, 0.0, 1.0)
     rho = GridDensity(rng.random(4096) + 0.1, grid)
     out = transfer_step(rho, r_adic_map(2))
     assert abs(out.mass - rho.mass) < 1e-14 * max(1.0, rho.mass)
-
-    n = 2**10
-    modes = np.arange(-4, 5)
-    x = (np.arange(n) + 0.5) / n
-    fourier = np.exp(2j * np.pi * np.outer(x, modes))
-
-    def rand_state():
-        c = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        return ProjectiveState(fourier @ c @ fourier.T, GridBasis2D(n, n))
-
-    a, b = rand_state(), rand_state()
-    before = overlap_magnitude(a, b)
-    after = overlap_magnitude(koopman_step(a, baker_map()), koopman_step(b, baker_map()))
-    assert abs(after - before) < 1e-3
 
     cases = (
         (baker_map(), [0.312, 0.547], LN(2.0)),
@@ -229,7 +220,7 @@ def test_criterion_7_koopman_transfer_and_trajectories():
         via_div = trajectory_lyapunov(m, x0, epsilon=1e-7, steps=80, method="divergence")
         assert direct == pytest.approx(target, abs=1e-6)
         assert abs(direct - via_div) < 1e-6
-    print("ACCEPTANCE 7 PASS: mass to 1e-14; overlap preservation 1e-3; trajectory exponents 1e-6")
+    print("ACCEPTANCE 7 PASS: mass to 1e-14; trajectory exponents 1e-6")
 
 
 def test_criterion_8_ingestion():

@@ -18,6 +18,8 @@ from plyap import (
     overlap_magnitude,
 )
 
+from oracles import linear_transfer
+
 
 def unit(i, n, basis=None):
     v = np.zeros(n, dtype=complex)
@@ -43,11 +45,11 @@ class TestOverlap:
 
     def test_square_density_two_doubling_steps(self):
         # square of width b stretched twice by r=2: overlap r^{-n/2} = 1/2
-        from plyap import linear_map, sqrt_embed, square_density, transfer_step
+        from plyap import sqrt_embed, square_density
 
         grid = GridBasis1D(64, 0.0, 4.0)
         rho0 = square_density(1.0, grid)
-        rho2 = transfer_step(transfer_step(rho0, linear_map(2.0)), linear_map(2.0))
+        rho2 = linear_transfer(linear_transfer(rho0, 2.0), 2.0)
         ov = overlap_magnitude(sqrt_embed(rho2), sqrt_embed(rho0))
         assert ov == pytest.approx(0.5, abs=1e-14)
 

@@ -4,17 +4,21 @@ import pytest
 from plyap import (
     DiscreteBasis,
     DomainError,
-    DomainOverflowError,
     GaussianState,
     ProjectiveState,
     QuadraticSystem,
-    barrier_overlap_paper,
     bvs_baker,
     bvs_coherent_state,
     gaussian_autocorrelation,
-    gaussian_on_grid,
     hilbert_distance,
     overlap_magnitude,
+)
+
+from oracles import (
+    barrier_half_form,
+    barrier_overlap_paper,
+    gaussian_on_grid,
+    oscillator_form,
     plan_split_grid,
     split_operator_propagate,
 )
@@ -24,12 +28,6 @@ BARRIER_PAPER_W2_W01_T5 = 0.007096950044607346
 # frozen from the exact Gaussian dynamics (equals the half-cross-term form);
 # the split operator validates the dynamics on t in [0, 3/omega]
 BARRIER_DYNAMICS_W2_W01_T5 = 0.008522903705783236
-
-
-def barrier_half_form(omega0, omega, t):
-    """The quoted closed form with the cross coefficient halved."""
-    chi = 0.5 * (omega / omega0 - omega0 / omega)
-    return (np.cosh(omega * t) ** 2 + chi**2 * np.sinh(omega * t) ** 2) ** -0.25
 
 
 class TestBarrierClosedForm:
@@ -70,6 +68,25 @@ class TestGaussianDynamics:
         v0 = gaussian_autocorrelation(sys, GaussianState(1.0), t)
         v1 = gaussian_autocorrelation(sys, GaussianState(1.0), t + period)
         assert np.allclose(v0, v1, atol=1e-12)
+
+    @pytest.mark.parametrize("sign", [+1, -1], ids=["oscillator", "barrier"])
+    @pytest.mark.parametrize("omega, omega0", [(3.7, 1.0), (304.10671227223753, 2.509787410095406)])
+    def test_exactly_one_at_time_zero(self, sign, omega, omega0):
+        # a(0) = omega * (omega0 / omega) need not round to omega0
+        v = gaussian_autocorrelation(QuadraticSystem(omega, sign=sign), GaussianState(omega0), 0.0)
+        assert v == 1.0
+
+    @pytest.mark.parametrize(
+        "omega, omega0",
+        [(2.0, 1.0), (3.0, 7.0), (1.0, 5e-20), (1e-4, 1e10), (1e-170, 1e-170)],
+    )
+    def test_oscillator_equals_its_closed_form(self, omega, omega0):
+        # widths far from the oscillator's and frequencies near the ends of
+        # the double range: one at t = 0 exactly, the closed form after
+        t = np.linspace(0.0, 5.0 / omega, 101)
+        v = gaussian_autocorrelation(QuadraticSystem(omega, sign=+1), GaussianState(omega0), t)
+        assert v[0] == 1.0
+        assert np.max(np.abs(v / oscillator_form(omega0, omega, t) - 1.0)) < 1e-12
 
     def test_barrier_matched_widths_equal_quoted_form(self):
         sys = QuadraticSystem(2.0, sign=-1)
@@ -158,7 +175,7 @@ class TestSplitOperator:
         sys = QuadraticSystem(2.0, sign=-1)
         grid = GridBasis1D(256, -4.0, 4.0)  # far too small for a barrier run
         psi = gaussian_on_grid(GaussianState(1.0), grid)
-        with pytest.raises(DomainOverflowError):
+        with pytest.raises(DomainError, match="enlarge the domain"):
             split_operator_propagate(psi, sys, dt=0.005, steps=600)
 
     def test_timestep_guard(self):

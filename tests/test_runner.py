@@ -195,6 +195,20 @@ class TestRun:
         assert res.estimate is None
         assert runner._curve(res).shape == (0, 2)
 
+    @pytest.mark.parametrize(
+        "omega, omega0, classification, t_b",
+        [(1.0, 5e-20, "saturated", 1.0), (1e-4, 1e10, "saturated", 1.0),
+         (1e-170, 1e-170, "stable", 0.0)],
+    )
+    def test_oscillator_far_from_unit_widths(self, omega, omega0, classification, t_b):
+        # a packet far narrower or wider than the oscillator's ground state is
+        # near orthogonal to itself by the first sample; the ground state at a
+        # tiny frequency stays on its ray
+        res = run(ExperimentConfig(id="osc", system="oscillator", omega=omega, omega0=omega0))
+        assert res.divergence.distances[0] == 0.0
+        assert res.summary["classification"] == classification
+        assert res.summary["saturation_time"] == t_b
+
     def test_r_adic_defaults_recorded(self):
         cfg = ExperimentConfig(id="radic", system="r_adic", steps=14, grid_n=2**12,
                                init_width=2.0**-6)
