@@ -9,7 +9,12 @@ of that cell.  Those preimages are finite unions of rectangles, so the
 averages are exact and total mass is conserved to rounding.  A density may
 hold one value per block of equal cells (see GridDensity); the baker
 transfer keeps it on blocks, so a density that is constant on dyadic
-rectangles costs as many operations per step as it has blocks, not cells.
+rectangles costs as many operations per step as it has blocks, not cells
+(blocks stay blocks because the transfer is the exact cell-averaged
+Frobenius-Perron operator; Lasota & Mackey, Chaos, Fractals, and Noise,
+1994).  density_overlap reads such a density on its blocks, against a
+reference embedded on any grid that the density's grid refines, so the
+overlap writes no cell array either.
 """
 
 import math
@@ -188,28 +193,95 @@ def sqrt_embed(rho: GridDensity) -> ProjectiveState:
     return ProjectiveState(_cells(np.sqrt(rho.values), rho.geometry.shape), rho.geometry)
 
 
+def _refines(grid, basis) -> bool:
+    """Whether grid is basis cut finer: same type and domain, each count a multiple."""
+    if type(grid) is not type(basis):
+        return False
+    if isinstance(grid, GridBasis1D) and (grid.x_lo, grid.x_hi) != (basis.x_lo, basis.x_hi):
+        return False
+    return all(n % m == 0 for n, m in zip(grid.shape, basis.shape))
+
+
+def _keep(a: np.ndarray, axis: int) -> np.ndarray:
+    return a
+
+
+def _sums(starts: np.ndarray):
+    """Sums along an axis over the runs of entries that begin at starts."""
+    return lambda a, axis: np.add.reduceat(a, starts, axis=axis)
+
+
+def _axis_groups(n: int, m: int, k: int, lo: int, hi: int):
+    """How one axis of n grid cells pairs a reference of m cells with a
+    density of k blocks, when the reference's support spans its cells [lo, hi).
+
+    Returns (blocks, density_op, reference_op, cells): the slice of density
+    blocks that meets the support, the maps that bring the density's and the
+    reference's part to one entry per group, and the grid cells per entry
+    before that.  A group is a cell of the reference or a block of the
+    density, whichever is coarser; where neither count divides the other,
+    both are spread to the grid's cells.
+    """
+    if k % m == 0:  # a reference cell holds s blocks: sum them
+        s = k // m
+        sum_blocks = _keep if s == 1 else _sums(np.arange(hi - lo) * s)
+        return slice(lo * s, hi * s), sum_blocks, _keep, n // k
+    if m % k == 0:  # a block holds s reference cells: sum them
+        s = m // k
+        blocks = slice(lo // s, (hi - 1) // s + 1)
+        starts = np.maximum(np.arange(blocks.start, blocks.stop) * s - lo, 0)
+        return blocks, _keep, _sums(starts), n // m
+    f, b = n // m, n // k
+    first = lo * f // b
+    cut = slice(lo * f - first * b, hi * f - first * b)
+    return (
+        slice(first, (hi * f - 1) // b + 1),
+        lambda a, axis: np.repeat(a, b, axis=axis)[(slice(None),) * axis + (cut,)],
+        lambda a, axis: np.repeat(a, f, axis=axis),
+        1,
+    )
+
+
 def density_overlap(reference: ProjectiveState):
     """The overlap of a density's embedding with a fixed embedding, as a function.
 
     Returns rho -> |<sqrt_embed(rho), reference>| / (||sqrt_embed(rho)|| ||reference||),
-    clamped to 1, for densities on the reference's grid.  Only the rows
-    (first-axis indices) from the first to the last that hold the reference's
-    support enter the sum, and ||sqrt_embed(rho)||^2 is rho's mass, so no
-    embedding of rho is built.  Row i of a block density is its value row
-    i // block[0], spread along the other axis.
+    clamped to 1, for densities on any grid that refines the reference's:
+    the same grid type and domain, each axis count a multiple of the
+    reference's.  No embedding of rho is built: ||sqrt_embed(rho)||^2 is
+    rho's mass, and the inner product is summed over groups.  Along each
+    axis a group is a cell of the reference or a block of rho, whichever is
+    coarser, so inside a group each factor is constant along the axes where
+    it is the coarser one, and its sum over the group is the product of
+    per-axis sums: rho's blocks summed per reference cell, the reference's
+    cells summed per block.  Along an axis where neither count divides the
+    other, both are spread to the grid's cells.  Only the groups that meet
+    the box bounding the reference's support, found once, enter the sum, so
+    a sample costs O(support + blocks); with one value per cell on the
+    reference's grid it is one dot product over the support.
     """
     ref = reference.amplitudes
-    nonzero = np.flatnonzero(ref.reshape(ref.shape[0], -1).any(axis=1))
-    rows = np.arange(nonzero[0], nonzero[-1] + 1)
-    ref_rows = ref[rows].ravel()  # a copy: the full reference need not stay alive
-    basis, weight, ref_norm = reference.basis, reference.weight, reference.norm()
-    support_shape = (rows.size,) + basis.shape[1:]
+    box = []
+    for axis in range(ref.ndim):
+        held = np.flatnonzero(ref.any(axis=tuple(a for a in range(ref.ndim) if a != axis)))
+        box.append((int(held[0]), int(held[-1]) + 1))
+    # a copy: the full reference need not stay alive
+    ref_box = ref[tuple(slice(lo, hi) for lo, hi in box)].copy()
+    basis, ref_norm = reference.basis, reference.norm()
 
     def overlap(rho: GridDensity) -> float:
-        if rho.geometry != basis:
-            raise BasisMismatchError(f"bases differ: {rho.geometry!r} vs {basis!r}")
-        root = np.sqrt(rho.values[rows // rho.block[0]])
-        inner = np.dot(_cells(root, support_shape).ravel(), ref_rows) * weight
+        grid = rho.geometry
+        if not _refines(grid, basis):
+            raise BasisMismatchError(f"{grid!r} does not refine the reference's {basis!r}")
+        axes = [
+            _axis_groups(n, m, k, lo, hi)
+            for n, m, k, (lo, hi) in zip(grid.shape, basis.shape, rho.values.shape, box)
+        ]
+        root, part = np.sqrt(rho.values[tuple(a[0] for a in axes)]), ref_box
+        for axis, (_, density_op, reference_op, _) in enumerate(axes):
+            root, part = density_op(root, axis), reference_op(part, axis)
+        weight = grid.cell_weight * math.prod(a[3] for a in axes)
+        inner = np.dot(root.ravel(), part.ravel()) * weight
         return float(min(1.0, inner / (np.sqrt(rho.mass) * ref_norm)))
 
     return overlap
@@ -217,8 +289,12 @@ def density_overlap(reference: ProjectiveState):
 
 def _transfer_r_adic(values: np.ndarray, r: int) -> np.ndarray:
     # Preimage of output cell i under branch j is a single input cell:
-    # out[i] = mean_j values[(i + j*n) // r], exact for integer r.
+    # out[i] = mean_j values[(i + j*n) // r], exact for integer r.  When r
+    # divides n that cell is j*m + i // r, m = n / r: a reshape, summed over
+    # j in the same order as the gather below.
     n = values.size
+    if n % r == 0:
+        return np.repeat(values.reshape(r, n // r).sum(axis=0) / r, r)
     i = np.arange(n)
     acc = np.zeros(n)
     for j in range(r):

@@ -53,6 +53,13 @@ class GaussianState:
             raise DomainError("width parameter omega0 must be positive")
 
 
+def _barrier_terms(w: float, t: np.ndarray):
+    """exp(-2 w t), 1 - exp(-2 w t) by expm1 (no cancellation at small t), and
+    1 + exp(-2 w t): the pieces of the barrier's Moebius solution."""
+    decay = np.exp(-2.0 * w * t)
+    return decay, -np.expm1(-2.0 * w * t), 1.0 + decay
+
+
 def _width_param(sys: QuadraticSystem, omega0: float, t) -> np.ndarray:
     """Complex width a(t) of the evolving centered Gaussian, a(0) = omega0.
 
@@ -60,7 +67,8 @@ def _width_param(sys: QuadraticSystem, omega0: float, t) -> np.ndarray:
     u0 = omega0 / omega and tau = omega t, the oscillator's Moebius solution
     is u = (u0 cos tau + i sin tau) / (cos tau + i u0 sin tau), which holds
     u(0) = u0 exactly however far u0 lies from 1; the barrier's is written
-    with expm1, free of cancellation at small t.
+    with expm1, free of cancellation at small t, and for u0 > 1 with its
+    numerator and denominator divided by u0, so that u0^2 is never formed.
     """
     t = np.asarray(t, dtype=float)
     w = sys.omega
@@ -69,11 +77,13 @@ def _width_param(sys: QuadraticSystem, omega0: float, t) -> np.ndarray:
         c, s = np.cos(w * t), np.sin(w * t)
         u = (u0 * c + 1j * s) / (c + 1j * u0 * s)
     else:
-        decay = np.exp(-2.0 * w * t)
-        one_m = -np.expm1(-2.0 * w * t)
-        one_p = 1.0 + decay
-        denom = one_p * one_p + u0 * u0 * one_m * one_m
-        u = (4.0 * u0 * decay - 1j * one_m * one_p * (1.0 + u0 * u0)) / denom
+        decay, one_m, one_p = _barrier_terms(w, t)
+        if u0 <= 1.0:
+            denom = one_p * one_p + u0 * u0 * one_m * one_m
+            u = (4.0 * u0 * decay - 1j * one_m * one_p * (1.0 + u0 * u0)) / denom
+        else:
+            denom = one_p * one_p / u0 + u0 * one_m * one_m
+            u = (4.0 * decay - 1j * one_m * one_p * (1.0 / u0 + u0)) / denom
     return w * u
 
 
@@ -82,19 +92,34 @@ def gaussian_autocorrelation(sys: QuadraticSystem, g: GaussianState, t):
 
     Closed form from the width evolution: with a0 = omega0 and a = a(t),
 
-        |overlap|^2 = 2 sqrt(a0 Re a) / |a0 + a| = 2 sqrt(Re r) / |1 + r|,  r = a / a0.
+        |overlap|^2 = 2 sqrt(a0 Re a) / |a0 + a| = 2 sqrt(Re r) / |1 + r|,  r = a / a0,
 
-    Periodic with period pi/omega for the oscillator (identically 1 when
-    omega0 = omega, the stationary ray); decays like exp(-omega t / 2) for
-    the barrier.
+    which takes the same value at 1 / r.  Periodic with period pi/omega for
+    the oscillator (identically 1 when omega0 = omega, the stationary ray);
+    decays like exp(-omega t / 2) for the barrier.
     """
-    a = _width_param(sys, g.omega0, t)
-    # r part by part (a complex quotient would round r(0) off 1), with a0
-    # rounded as _width_param rounds a(0): r(0) = 1 exactly, and there is no
-    # product a0 Re a to overflow or underflow
-    a0 = sys.omega * (g.omega0 / sys.omega)
-    r = a.real / a0 + 1j * (a.imag / a0)
-    out = np.sqrt(2.0 * np.sqrt(r.real) / np.abs(1.0 + r))
+    t = np.asarray(t, dtype=float)
+    u0 = g.omega0 / sys.omega
+    if sys.sign < 0 and u0 > 1.0:
+        # a barrier start wider than omega: Re r ~ u0^-2 leaves the double
+        # range, so take 1 / r = a0 / a, whose real part is 4 exp(-2 w t) / (1 +
+        # exp(-2 w t))^2 up to u0^-2 terms, and which is 1 exactly at t = 0
+        decay, one_m, one_p = _barrier_terms(sys.omega, t)
+        r = (4.0 * decay + 1j * one_m * one_p * (u0 + 1.0 / u0)) / (
+            one_p * one_p + (one_m / u0) ** 2)
+    else:
+        a = _width_param(sys, g.omega0, t)
+        # r part by part (a complex quotient would round r(0) off 1), with a0
+        # rounded as _width_param rounds a(0): r(0) = 1 exactly, and there is
+        # no product a0 Re a to overflow or underflow
+        a0 = sys.omega * u0
+        r = a.real / a0 + 1j * (a.imag / a0)
+    # the square 2 sqrt(Re r) / |1 + r| leaves the double range long before the
+    # overlap does (|1 + r| ~ u0 for a wide barrier start): divide by the
+    # mantissa of |1 + r| and take its even power of two out of the root,
+    # which rounds as the plain quotient wherever that is a normal number
+    m, e = np.frexp(np.abs(1.0 + r))
+    out = np.ldexp(np.sqrt(2.0 * np.sqrt(r.real) / np.ldexp(m, e % 2)), -(e // 2))
     return float(out) if out.ndim == 0 else out
 
 

@@ -94,12 +94,14 @@ def _baker_start(p):
     # intersection measure 2^-t (full rate ln 2; the invertible map has no
     # pushforward dilution to halve it).  Constant in y, it is one block
     # column: n values on blocks of 1 x n cells.  The transfer keeps it on
-    # n blocks of 2^t x n/2^t cells, so a step costs O(n), and the
-    # reference's embedding is the run's only n x n array.
+    # n blocks of 2^t x n/2^t cells, so a step costs O(n).  The reference is
+    # embedded on the n x 1 grid that the n x n grid refines, n amplitudes,
+    # and the overlap sums blocks against them: no array of a run is n x n.
     n = 2 ** p["grid_m"]
-    x = square_density(p["init_width"], GridBasis1D(n, 0.0, 1.0)).values
-    rho = GridDensity(x[:, None], GridBasis2D(n, n))
-    return rho, lambda d: transfer_step(d, baker_map()), density_overlap(sqrt_embed(rho))
+    x = square_density(p["init_width"], GridBasis1D(n, 0.0, 1.0)).values[:, None]
+    rho = GridDensity(x, GridBasis2D(n, n))
+    reference = sqrt_embed(GridDensity(x, GridBasis2D(n, 1)))
+    return rho, lambda d: transfer_step(d, baker_map()), density_overlap(reference)
 
 
 def _bvs_start(p):

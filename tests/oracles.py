@@ -1,10 +1,11 @@
 """Test oracles shared by the test modules.
 
-The baker oracle evolves and expands full n x n arrays without calling the
-plyap code under test.  The linear-map transfer and the split-operator
-propagator are grid realisations of flows that plyap evolves in closed
-form; they take and return plyap's state types (GridDensity,
-ProjectiveState) but share no evolution code with it.
+The baker oracle evolves and expands full n x n arrays, and the r-adic
+oracle gathers each output cell, without calling the plyap code under
+test.  The linear-map transfer and the split-operator propagator are grid
+realisations of flows that plyap evolves in closed form; they take and
+return plyap's state types (GridDensity, ProjectiveState) but share no
+evolution code with it.
 """
 
 import numpy as np
@@ -24,6 +25,20 @@ def gather_baker_kernel(f):
     out[:, :half] = 0.5 * (f[i // 2][:, 2 * jlo] + f[i // 2][:, 2 * jlo + 1])
     out[:, half:] = 0.5 * (f[(i + n) // 2][:, 2 * jhi - n] + f[(i + n) // 2][:, 2 * jhi - n + 1])
     return out
+
+
+def gather_r_adic(values, r):
+    """The r-adic pushforward cell by cell, kept as the oracle.
+
+    Output cell i averages the input cells (i + j n) // r, j = 0 .. r - 1,
+    the one cell each branch's preimage of cell i lies in.
+    """
+    n = values.size
+    i = np.arange(n)
+    acc = np.zeros(n)
+    for j in range(r):
+        acc += values[(i + j * n) // r]
+    return acc / r
 
 
 def repeat_blocks(values, shape):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plyap import (
     BasisMismatchError,
@@ -23,9 +25,9 @@ from plyap import (
     square_density,
     transfer_step,
 )
-from plyap.ensembles import _baker_kernel
+from plyap.ensembles import _baker_kernel, _transfer_r_adic
 
-from oracles import gather_baker_kernel, linear_transfer, repeat_blocks
+from oracles import gather_baker_kernel, gather_r_adic, linear_transfer, repeat_blocks
 
 
 def classical_baker(points):
@@ -229,9 +231,65 @@ class TestDensityOverlap:
         assert overlap(blocks) == pytest.approx(expect, rel=1e-13)
 
     def test_other_grid_rejected(self):
+        # a grid that cuts the reference's finer is read; any other is refused
         overlap = density_overlap(sqrt_embed(square_density(0.5, GridBasis1D(8))))
-        with pytest.raises(BasisMismatchError):
-            overlap(square_density(0.5, GridBasis1D(16)))
+        assert overlap(square_density(0.5, GridBasis1D(16))) == pytest.approx(1.0, rel=1e-15)
+        for rho in (
+            square_density(0.5, GridBasis1D(12)),  # 12 cells do not cut 8 finer
+            GridDensity(np.ones(8), GridBasis1D(8, 0.0, 2.0)),  # another x-range
+            GridDensity(np.ones((8, 8)), GridBasis2D(8, 8)),  # 2D against 1D
+        ):
+            with pytest.raises(BasisMismatchError, match="does not refine"):
+                overlap(rho)
+
+
+def _counts(n):
+    return st.sampled_from([k for k in range(1, n + 1) if n % k == 0])
+
+
+@st.composite
+def _block_pairs(draw):
+    """A block density and a reference on a grid the density's refines, with
+    random zeros; counts 3 and 4 of 12 cells do not nest."""
+    shape = draw(st.sampled_from([(12,), (24,), (12, 8), (6, 12)]))
+    ref_shape = tuple(draw(_counts(n)) for n in shape)
+    blocks = tuple(draw(_counts(n)) for n in shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ref = rng.random(ref_shape) * (rng.random(ref_shape) < draw(st.sampled_from([0.3, 0.7, 1.0])))
+    values = rng.random(blocks) * (rng.random(blocks) < draw(st.sampled_from([0.5, 1.0])))
+    ref.flat[rng.integers(ref.size)] = 1.0  # positive mass
+    values.flat[rng.integers(values.size)] = 1.0
+    return shape, ref, values
+
+
+def _grid(shape):
+    return GridBasis1D(*shape) if len(shape) == 1 else GridBasis2D(*shape)
+
+
+class TestBlockOverlap:
+    @settings(max_examples=300, deadline=None)
+    @given(_block_pairs())
+    def test_equals_the_overlap_of_the_cell_embeddings(self, case):
+        shape, ref, values = case
+        reference = sqrt_embed(GridDensity(ref, _grid(ref.shape)))
+        rho = GridDensity(values, _grid(shape))
+        got = density_overlap(reference)(rho)
+        cells = sqrt_embed(GridDensity(repeat_blocks(ref, shape), _grid(shape)))
+        expect = overlap_magnitude(sqrt_embed(rho), cells)
+        assert got == pytest.approx(expect, rel=1e-13, abs=0.0)
+        assert (got == 0.0) == (expect == 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_block_pairs())
+    def test_self_overlap_at_most_one_and_disjoint_overlap_zero(self, case):
+        shape, _, values = case
+        rho = GridDensity(values, _grid(shape))
+        assert density_overlap(sqrt_embed(rho))(rho) <= 1.0
+        cells = repeat_blocks(values, shape)
+        other = np.where(cells > 0.0, 0.0, 1.0)
+        if other.any():  # rho's complement, read on rho's grid and on its blocks
+            assert density_overlap(sqrt_embed(GridDensity(other, _grid(shape))))(rho) == 0.0
+            assert density_overlap(sqrt_embed(rho))(GridDensity(other, _grid(shape))) == 0.0
 
 
 class TestLinearAnalytic:
@@ -265,6 +323,13 @@ class TestTransferStep:
         rho = GridDensity(np.ones((32, 32)), GridBasis2D(32, 32))
         out = transfer_step(rho, baker_map())
         assert np.array_equal(repeat_blocks(out.values, (32, 32)), rho.values)
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    @pytest.mark.parametrize("n", [60, 64, 243, 1000, 1001, 65535])
+    def test_r_adic_equals_the_gather(self, n, r):
+        # a reshape where r divides n, the gather where it does not
+        values = np.random.default_rng(n * r).random(n)
+        assert np.array_equal(_transfer_r_adic(values, r), gather_r_adic(values, r))
 
     def test_r_adic_left_half_one_step_to_uniform(self):
         # P rho(x) = (rho(x/2) + rho((x+1)/2)) / 2 sends 2*1_[0,1/2) to 1

@@ -13,6 +13,7 @@ from plyap import (
     hilbert_distance,
     overlap_magnitude,
 )
+from plyap.quantum import _width_param
 
 from oracles import (
     barrier_half_form,
@@ -105,6 +106,37 @@ class TestGaussianDynamics:
         assert gaussian_autocorrelation(sys, GaussianState(1.0), 5.0) == pytest.approx(
             BARRIER_DYNAMICS_W2_W01_T5, rel=1e-12
         )
+
+    @pytest.mark.parametrize("u0", [1e155, 1e200, 1e300])
+    def test_wide_barrier_start_scales_as_inverse_root(self, u0):
+        # u0^2 overflows above ~1e154, and Re(a / a0) ~ u0^-2 underflows: the
+        # overlap is one at t = 0 and ~ u0^(-1/2) after, to the last step of a
+        # default run
+        sys = QuadraticSystem(1.0, sign=-1)
+        t = np.arange(41.0)
+        base = gaussian_autocorrelation(sys, GaussianState(1e100), t)
+        v = gaussian_autocorrelation(sys, GaussianState(u0), t)
+        assert v[0] == 1.0
+        assert np.all(np.isfinite(v[1:])) and np.all(v[1:] > 0.0)
+        np.testing.assert_allclose(v[1:] * np.sqrt(u0 / 1e100), base[1:], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("omega, omega0", [(1.0, 2.0), (2.0, 7.0), (1e-3, 5.0), (1.0, 1e10)])
+    def test_wide_barrier_start_equals_half_form(self, omega, omega0):
+        t = np.linspace(0.0, 5.0 / omega, 101)
+        v = gaussian_autocorrelation(QuadraticSystem(omega, sign=-1), GaussianState(omega0), t)
+        assert v[0] == 1.0
+        assert np.max(np.abs(v / barrier_half_form(omega0, omega, t) - 1.0)) < 1e-12
+
+    def test_wide_barrier_width_stays_finite(self):
+        # the width itself, for the split-operator grid: no u0^2 is formed
+        sys = QuadraticSystem(1.0, sign=-1)
+        t = np.linspace(0.0, 5.0, 11)
+        a = _width_param(sys, 1e160, t)
+        assert a[0] == pytest.approx(1e160, rel=1e-15)
+        assert np.all(np.isfinite(a)) and np.all(a.real > 0.0)
+        # da/dt = -i (a^2 + omega^2) keeps a -> -omega^2 / a a solution
+        mirror = -1.0 / _width_param(sys, -1e-160, t)
+        np.testing.assert_allclose(a[1:], mirror[1:], rtol=1e-12)
 
     def test_diagnostic_mismatched_widths_need_half_cross_term(self):
         # The quoted closed form with its full cross coefficient does NOT

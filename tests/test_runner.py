@@ -310,7 +310,7 @@ class TestRun:
                 res = run(cfg)
         if snapped & (snapped - 1):
             # a slab of 3 cells has irrational amplitudes: the runner sums the
-            # overlap over the support rows, in another order than a full vdot
+            # overlap over blocks, in another order than a full vdot
             np.testing.assert_allclose(
                 np.cos(res.divergence.distances / 2), np.cos(div.distances / 2), rtol=1e-12
             )
@@ -325,12 +325,15 @@ class TestRun:
         + [("r_adic", dict(r=r)) for r in (2, 3)],
     )
     def test_streamed_overlaps_match_the_embedded_oracle(self, system, params):
-        # the runner sums over the reference's support rows and takes the norm
-        # from the conserved mass; the oracle embeds every state on the full
-        # grid, and evolves the baker slab on every cell by the gather oracle
-        cfg = ExperimentConfig(id="oracle", system=system, steps=20, **params)
-        res = run(cfg)
-        values, _ = runner._params(cfg)
+        # the runner sums blocks against the reference's support (for the baker,
+        # a reference embedded on n x 1 cells) and takes the norm from the
+        # conserved mass; the oracle embeds every state on the full grid, and
+        # evolves the baker slab on every cell by the gather oracle
+        steps = (20, 40) if system == "baker_classical" else (20,)
+        cfgs = [ExperimentConfig(id="oracle", system=system, steps=s, **params) for s in steps]
+        if params.get("init_width") == 2.0**-8:
+            cfgs.append(ExperimentConfig(id="oracle", system=system))  # the default run
+        values, _ = runner._params(cfgs[0])
         if system == "r_adic":
             m = r_adic_map(values["r"])
             rho = square_density(values["init_width"], GridBasis1D(values["grid_n"]))
@@ -341,17 +344,21 @@ class TestRun:
             rho = GridDensity(np.repeat(x[:, None], n, axis=1), GridBasis2D(n, n))
             step = lambda rho: GridDensity(gather_baker_kernel(rho.values), rho.geometry)  # noqa: E731
         ref = sqrt_embed(rho)
-        overlaps = [overlap_magnitude(ref, ref)]
-        for _ in range(cfg.steps):
+        oracle = [overlap_magnitude(ref, ref)]
+        for _ in range(max(steps)):
             rho = step(rho)
-            overlaps.append(overlap_magnitude(sqrt_embed(rho), ref))
-        np.testing.assert_allclose(np.cos(res.divergence.distances / 2), overlaps, rtol=1e-12)
-        div = divergence_series(res.divergence.times, overlaps, theta=cfg.theta)
-        estimate, outcome = runner._estimate_and_classify(cfg, div)
-        assert res.summary["lambda"] == pytest.approx(outcome["lambda"], rel=1e-12)
-        assert res.estimate.fit_window == estimate.fit_window
-        assert (res.summary["saturation_time"], res.summary["classification"]) == (
-            outcome["saturation_time"], outcome["classification"])
+            oracle.append(overlap_magnitude(sqrt_embed(rho), ref))
+        for cfg in cfgs:
+            res = run(cfg)
+            overlaps = oracle[: res.divergence.times.size]
+            div = divergence_series(res.divergence.times, overlaps, theta=cfg.theta)
+            np.testing.assert_allclose(np.cos(res.divergence.distances / 2), overlaps, rtol=1e-12)
+            np.testing.assert_allclose(res.divergence.log_values, div.log_values, rtol=1e-12)
+            estimate, outcome = runner._estimate_and_classify(cfg, div)
+            assert res.summary["lambda"] == pytest.approx(outcome["lambda"], rel=1e-12)
+            assert res.estimate.fit_window == estimate.fit_window
+            assert (res.summary["saturation_time"], res.summary["classification"]) == (
+                outcome["saturation_time"], outcome["classification"])
 
     @pytest.mark.parametrize(
         "system, params",
@@ -367,18 +374,19 @@ class TestRun:
         assert np.isneginf(res.divergence.log_values[0])
 
     def test_baker_run_keeps_no_embedding_per_sample(self):
-        cfg = ExperimentConfig(id="mem", system="baker_classical", grid_m=10, steps=20)
-        run(cfg)  # the first run in a process also pays for one-off allocations
-        tracemalloc.start()
-        try:
-            run(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the reference's embedding is the one array of 8 * 1024^2 bytes: the
-        # slab is evolved on 1024 blocks, so a density written on every cell,
-        # or a sqrt-embedded state per sample, would add a second
-        assert peak < 1.25 * 8 * 1024**2
+        # the slab is evolved on n blocks and its reference embedded on n x 1
+        # cells, so a run holds a few arrays of n values; one array on the
+        # n x n cells (8 n^2 bytes) would break the bound from n = 16 on
+        for grid_m in (10, 14):
+            cfg = ExperimentConfig(id="mem", system="baker_classical", grid_m=grid_m, steps=20)
+            run(cfg)  # the first run in a process also pays for one-off allocations
+            tracemalloc.start()
+            try:
+                run(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 8 * 2**grid_m, grid_m
 
     def test_run_holds_a_constant_number_of_states(self):
         cfg = ExperimentConfig(id="mem", system="baker_classical", grid_m=9, steps=20)
@@ -628,6 +636,13 @@ class TestCli:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json"), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wide_barrier_start_exits_0(self, tmp_path):
+        # omega0 / omega = 1e160: its square overflowed into a NaN series (exit 4)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"id": "b", "system": "barrier", "omega": 1.0, "omega0": 1e160}))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_OK
 
     @pytest.mark.filterwarnings("ignore:square width")
     def test_unallocatable_run_exits_4(self, tmp_path, capsys):
