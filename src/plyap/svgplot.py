@@ -101,7 +101,8 @@ def render_line_plot(curves, title="", xlabel="", ylabel="", hlines=()):
         cx = np.asarray(cx, dtype=float)
         cy = np.asarray(cy, dtype=float)
         ok = np.isfinite(cy)
-        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px(cx[ok]).tolist(), py(cy[ok]).tolist())))
+        xy = np.column_stack([px(cx[ok]), py(cy[ok])])
+        pts = ("%.2f,%.2f " * len(xy) % tuple(xy.ravel().tolist()))[:-1]
         color = _PALETTE[idx % len(_PALETTE)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -15,15 +15,17 @@ from plyap.quantum import _width_param
 
 
 def gather_baker_kernel(f):
-    """The baker pushforward by explicit preimage gathers, kept as the oracle."""
+    """The baker pushforward by explicit preimage gathers, kept as the oracle.
+
+    Output row i, column j < n/2 averages cells 2j and 2j + 1 of row i // 2;
+    column j >= n/2 averages cells 2j - n and 2j - n + 1 of row (i + n) // 2.
+    """
     n = f.shape[0]
     half = n // 2
     out = np.empty_like(f)
     i = np.arange(n)
-    jlo = np.arange(half)
-    jhi = np.arange(half, n)
-    out[:, :half] = 0.5 * (f[i // 2][:, 2 * jlo] + f[i // 2][:, 2 * jlo + 1])
-    out[:, half:] = 0.5 * (f[(i + n) // 2][:, 2 * jhi - n] + f[(i + n) // 2][:, 2 * jhi - n + 1])
+    for cols, rows in ((slice(None, half), f[i // 2]), (slice(half, None), f[(i + n) // 2])):
+        out[:, cols] = 0.5 * (rows[:, 0::2] + rows[:, 1::2])
     return out
 
 

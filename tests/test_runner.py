@@ -592,6 +592,24 @@ class TestWriters:
         assert [str(args[0]) for args in looped] == [str(tmp_path / "blank" / "noisy.csv")]
         assert outputs["lf"] == outputs["crlf"] == outputs["blank"]
 
+    def test_lambda_t_takes_the_series_t_text(self, tmp_path, monkeypatch):
+        # negative, irregular times through -0.0, then a noisy plateau whose
+        # saturated samples the curve skips: each lambda_t row must carry the
+        # t text of its own sample
+        rng = np.random.default_rng(11)
+        gaps = rng.uniform(0.01, 0.05, 90)
+        t = np.concatenate([-np.cumsum(gaps[:30])[::-1], [-0.0], np.cumsum(gaps[30:])])
+        v = np.maximum(np.exp(-2.0 * (t - t[0])), 0.02 * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, t.size)))
+        p = tmp_path / "irregular.csv"
+        p.write_text("t,overlap\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), v.tolist())))
+        monkeypatch.setattr(runner, "_ROWS_PER_WRITE", 7)
+        res = ingest(p, out_dir=tmp_path)
+        _assert_csvs_match_oracle(res)
+        div, curve = res.divergence, res.estimate.finite_time_curve
+        assert div.saturated.any() and curve[-1, 0] > div.times[np.argmax(div.saturated)]
+        lines = (res.out_dir / "lambda_t.csv").read_text().splitlines()[2:]
+        assert "-0" in [line.split(",")[0] for line in lines]
+
     def test_figure_csvs_match_oracle(self, figure_runs):
         for results in figure_runs[1].values():
             for res in results:
