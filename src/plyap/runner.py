@@ -374,21 +374,20 @@ def _curve(result) -> np.ndarray:
 # rows per % and per write; % grows a block's text by reallocation, and 4096-row
 # blocks fragmented the heap of a long ingest loop (+2 MB per 100 20k-row ingests)
 _ROWS_PER_WRITE = 256
+_FLAGS = np.array([",0\n", ",1\n"], dtype=object)  # a row's tail: its saturated flag and line end
 
 
-def _write_csv(path: Path, config_hash: str, header: str, times: list, *columns):
-    """Time strings and array columns as CSV rows, each block one % over a row template."""
-    row = "%s" + "".join(",%d" if c.dtype == bool else ",%.17g" for c in columns) + "\n"
-    width = 1 + len(columns)
+def _write_csv(path: Path, config_hash: str, header: str, heads: list, column, tails: list):
+    """Rows of ready text around one float, each block one % over head, %.17g and tail."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={config_hash}\n{header}\n")
-        for start in range(0, len(times), _ROWS_PER_WRITE):
-            block = times[start:start + _ROWS_PER_WRITE]
-            values = [None] * (width * len(block))
-            values[::width] = block
-            for j, c in enumerate(columns, 1):
-                values[j::width] = c[start:start + _ROWS_PER_WRITE].tolist()
-            fh.write(row * len(block) % tuple(values))
+        for start in range(0, len(heads), _ROWS_PER_WRITE):
+            block = heads[start:start + _ROWS_PER_WRITE]
+            values = [None] * (3 * len(block))
+            values[::3] = block
+            values[1::3] = column[start:start + _ROWS_PER_WRITE].tolist()
+            values[2::3] = tails[start:start + _ROWS_PER_WRITE]
+            fh.write("%s%.17g%s" * len(block) % tuple(values))
 
 
 SUMMARY_SCHEMA = {
@@ -492,13 +491,14 @@ def _write_result(result: ExperimentResult, out_dir: Path) -> Path:
     exp_dir.mkdir(parents=True, exist_ok=True)
     h = result.summary["config_hash"]
     div = result.divergence
-    t = list(map("%.17g".__mod__, div.times.tolist()))
-    _write_csv(exp_dir / "distance.csv", h, "t,d_p,saturated", t, div.distances, div.saturated)
-    _write_csv(exp_dir / "divergence.csv", h, "t,log_divergence,saturated", t, div.log_values,
-               div.saturated)
+    heads = ("%.17g,\n" * div.times.size % tuple(div.times.tolist())).splitlines()
+    tails = _FLAGS.take(div.saturated).tolist()
+    _write_csv(exp_dir / "distance.csv", h, "t,d_p,saturated", heads, div.distances, tails)
+    _write_csv(exp_dir / "divergence.csv", h, "t,log_divergence,saturated", heads, div.log_values,
+               tails)
     curve = _curve(result)  # its times are series times: a row takes its sample's t text
-    curve_t = list(map(t.__getitem__, np.searchsorted(div.times, curve[:, 0]).tolist()))
-    _write_csv(exp_dir / "lambda_t.csv", h, "t,lambda_t", curve_t, curve[:, 1])
+    curve_heads = list(map(heads.__getitem__, np.searchsorted(div.times, curve[:, 0]).tolist()))
+    _write_csv(exp_dir / "lambda_t.csv", h, "t,lambda_t", curve_heads, curve[:, 1], ["\n"] * len(curve))
     (exp_dir / "summary.json").write_text(json.dumps(result.summary, indent=2, sort_keys=True) + "\n")
     return exp_dir
 

@@ -610,6 +610,34 @@ class TestWriters:
         lines = (res.out_dir / "lambda_t.csv").read_text().splitlines()[2:]
         assert "-0" in [line.split(",")[0] for line in lines]
 
+    @pytest.mark.parametrize("rows", ["edge-1", "edge", "edge+1", "2edge+1", "linear"])
+    def test_distance_and_divergence_share_t_and_flag_text(self, tmp_path, rows):
+        # at the real block size: ingests that end on a noisy saturated plateau
+        # around the block edges, and the default linear run, whose t = 0 row
+        # has log_divergence -inf
+        if rows == "linear":
+            res = run(ExperimentConfig(id="linear", system="linear"), out_dir=tmp_path)
+        else:
+            edge = runner._ROWS_PER_WRITE
+            n = {"edge-1": edge - 1, "edge": edge, "edge+1": edge + 1, "2edge+1": 2 * edge + 1}[rows]
+            rng = np.random.default_rng(n)
+            t = np.arange(n) * (25.0 / n)
+            v = np.maximum(np.exp(-0.5 * t), 0.005 * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, n)))
+            p = tmp_path / "plateau.csv"
+            p.write_text("t,overlap\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), v.tolist())))
+            res = ingest(p, out_dir=tmp_path)
+        _assert_csvs_match_oracle(res)
+        div = res.divergence
+        assert div.saturated.any() and not div.saturated.all()
+        assert rows == "linear" or div.saturated[runner._ROWS_PER_WRITE - 8:].all()
+        fields = {}
+        for name in ("distance.csv", "divergence.csv"):
+            lines = (res.out_dir / name).read_text().splitlines()[2:]
+            fields[name] = [(line.split(",")[0], line.split(",")[2]) for line in lines]
+        assert len(fields["distance.csv"]) == div.times.size
+        assert fields["distance.csv"] == fields["divergence.csv"]
+        assert {flag for _, flag in fields["distance.csv"]} == {"0", "1"}
+
     def test_figure_csvs_match_oracle(self, figure_runs):
         for results in figure_runs[1].values():
             for res in results:
