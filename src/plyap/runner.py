@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, floattext
 from .ensembles import (
     GridDensity,
     baker_map,
@@ -491,14 +491,22 @@ def _write_result(result: ExperimentResult, out_dir: Path) -> Path:
     exp_dir.mkdir(parents=True, exist_ok=True)
     h = result.summary["config_hash"]
     div = result.divergence
-    heads = ("%.17g,\n" * div.times.size % tuple(div.times.tolist())).splitlines()
-    tails = _FLAGS.take(div.saturated).tolist()
-    _write_csv(exp_dir / "distance.csv", h, "t,d_p,saturated", heads, div.distances, tails)
-    _write_csv(exp_dir / "divergence.csv", h, "t,log_divergence,saturated", heads, div.log_values,
-               tails)
     curve = _curve(result)  # its times are series times: a row takes its sample's t text
-    curve_heads = list(map(heads.__getitem__, np.searchsorted(div.times, curve[:, 0]).tolist()))
-    _write_csv(exp_dir / "lambda_t.csv", h, "t,lambda_t", curve_heads, curve[:, 1], ["\n"] * len(curve))
+    if div.times.size >= floattext.BLOCK_ROWS:
+        floattext.write_csvs(h, div.times, {
+            exp_dir / "distance.csv": ("t,d_p,saturated", div.distances),
+            exp_dir / "divergence.csv": ("t,log_divergence,saturated", div.log_values),
+        }, div.saturated)
+        floattext.write_csvs(h, curve[:, 0], {exp_dir / "lambda_t.csv": ("t,lambda_t", curve[:, 1])})
+    else:
+        heads = ("%.17g,\n" * div.times.size % tuple(div.times.tolist())).splitlines()
+        tails = _FLAGS.take(div.saturated).tolist()
+        _write_csv(exp_dir / "distance.csv", h, "t,d_p,saturated", heads, div.distances, tails)
+        _write_csv(exp_dir / "divergence.csv", h, "t,log_divergence,saturated", heads,
+                   div.log_values, tails)
+        curve_heads = list(map(heads.__getitem__, np.searchsorted(div.times, curve[:, 0]).tolist()))
+        _write_csv(exp_dir / "lambda_t.csv", h, "t,lambda_t", curve_heads, curve[:, 1],
+                   ["\n"] * len(curve))
     (exp_dir / "summary.json").write_text(json.dumps(result.summary, indent=2, sort_keys=True) + "\n")
     return exp_dir
 

@@ -23,6 +23,7 @@ from plyap import (
     InsufficientDataError,
     divergence_series,
     estimators,
+    floattext,
     overlap_magnitude,
     r_adic_map,
     runner,
@@ -610,16 +611,33 @@ class TestWriters:
         lines = (res.out_dir / "lambda_t.csv").read_text().splitlines()[2:]
         assert "-0" in [line.split(",")[0] for line in lines]
 
-    @pytest.mark.parametrize("rows", ["edge-1", "edge", "edge+1", "2edge+1", "linear"])
+    # the three tests above with 7-row kernel blocks: every series takes the kernel,
+    # in many blocks
+    @pytest.mark.parametrize("system", sorted(_SMALL_RUNS))
+    def test_run_csvs_match_oracle_in_kernel_blocks(self, tmp_path, monkeypatch, system):
+        monkeypatch.setattr(floattext, "BLOCK_ROWS", 7)
+        self.test_run_csvs_match_oracle(tmp_path, system)
+
+    def test_ingest_csvs_match_oracle_in_kernel_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(floattext, "BLOCK_ROWS", 7)
+        self.test_ingest_csvs_match_oracle(tmp_path, monkeypatch)
+
+    def test_lambda_t_takes_the_series_t_text_in_kernel_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(floattext, "BLOCK_ROWS", 7)
+        self.test_lambda_t_takes_the_series_t_text(tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("rows", ["edge-1", "edge", "edge+1", "2edge+1", "linear",
+                                      "kernel-1", "kernel", "kernel+1", "2kernel+1"])
     def test_distance_and_divergence_share_t_and_flag_text(self, tmp_path, rows):
-        # at the real block size: ingests that end on a noisy saturated plateau
-        # around the block edges, and the default linear run, whose t = 0 row
-        # has log_divergence -inf
+        # at the real block sizes, of the % writer and of the kernel: ingests that
+        # end on a noisy saturated plateau around the block edges, and the default
+        # linear run, whose t = 0 row has log_divergence -inf
+        edge = floattext.BLOCK_ROWS if "kernel" in rows else runner._ROWS_PER_WRITE
         if rows == "linear":
             res = run(ExperimentConfig(id="linear", system="linear"), out_dir=tmp_path)
         else:
-            edge = runner._ROWS_PER_WRITE
-            n = {"edge-1": edge - 1, "edge": edge, "edge+1": edge + 1, "2edge+1": 2 * edge + 1}[rows]
+            n = {"edge-1": edge - 1, "edge": edge, "edge+1": edge + 1, "2edge+1": 2 * edge + 1}[
+                rows.replace("kernel", "edge")]
             rng = np.random.default_rng(n)
             t = np.arange(n) * (25.0 / n)
             v = np.maximum(np.exp(-0.5 * t), 0.005 * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, n)))
@@ -629,7 +647,7 @@ class TestWriters:
         _assert_csvs_match_oracle(res)
         div = res.divergence
         assert div.saturated.any() and not div.saturated.all()
-        assert rows == "linear" or div.saturated[runner._ROWS_PER_WRITE - 8:].all()
+        assert rows == "linear" or div.saturated[edge - 8:].all()
         fields = {}
         for name in ("distance.csv", "divergence.csv"):
             lines = (res.out_dir / name).read_text().splitlines()[2:]
@@ -650,6 +668,77 @@ class TestWriters:
             svg = (out / f"{fig_id}.svg").read_text()
             points = re.findall(r'<polyline points="([^"]*)"', svg)
             assert points == _polyline_oracle(curves, runner._FIGURES[fig_id][1]), fig_id
+
+    def test_figure_csvs_match_oracle_in_kernel_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(floattext, "BLOCK_ROWS", 7)
+        for fig_id in runner.FIGURE_IDS:
+            for res in figure(fig_id, tmp_path):
+                _assert_csvs_match_oracle(res)
+
+    @pytest.mark.parametrize("steps", [2046, 2047])
+    def test_a_series_of_one_kernel_block_takes_the_kernel(self, tmp_path, monkeypatch, steps):
+        frames = []
+        kernel = floattext.float_frame
+        monkeypatch.setattr(floattext, "float_frame", lambda x: frames.append(x.size) or kernel(x))
+        res = run(ExperimentConfig(id="linear", system="linear", steps=steps), out_dir=tmp_path)
+        _assert_csvs_match_oracle(res)
+        rows = steps + 1
+        assert (rows >= floattext.BLOCK_ROWS) == bool(frames)
+        assert all(size <= floattext.BLOCK_ROWS for size in frames)
+
+
+def _kernel_text(values) -> bytes:
+    x = np.array(values, dtype=np.float64)
+    return floattext.row_text([floattext.float_frame(x), np.full((1, x.size), ord("\n"), dtype=np.uint8)])
+
+
+def _percent_text(values) -> bytes:
+    return "".join("%.17g\n" % v for v in values).encode()
+
+
+def _kernel_grid():
+    """Values on every edge of the kernel's fast range, and their negatives."""
+    grid = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    for k in range(-6, 19):
+        grid += [np.nextafter(10.0**k, 0.0), 10.0**k, np.nextafter(10.0**k, math.inf)]
+    for edge in (1e-4, 1e17):  # the ends of the positional range, 40 ulps each way
+        for direction in (0.0, math.inf):
+            v = edge
+            for _ in range(40):
+                v = np.nextafter(v, direction)
+                grid.append(v)
+    # exact half-way cases: 1e15 + 0.25 scales to ...2.5 and rounds to even
+    grid += [1e15 + 0.25, 1e15 + 0.75, 1e15 + 0.125, 2.5e-4, 0.5, 1.5, 2.5]
+    return [float(v) for v in grid] + [-float(v) for v in grid]
+
+
+class TestFloatKernel:
+    def test_grid_matches_percent(self):
+        grid = _kernel_grid()
+        assert _kernel_text(grid) == _percent_text(grid)
+        assert _percent_text([1e15 + 0.25, 1e15 + 0.75]) == b"1000000000000000.2\n1000000000000000.8\n"
+
+    @pytest.mark.parametrize("seed, kind", enumerate(
+        ["bits", "log-uniform", "ulps-of-powers", "short-decimals"]))
+    def test_blocks_match_percent(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        n = floattext.BLOCK_ROWS
+        for _ in range(16):
+            if kind == "bits":
+                x = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+            elif kind == "log-uniform":
+                x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5.0, 18.0, n)
+            elif kind == "ulps-of-powers":
+                x = 10.0 ** rng.integers(-5, 18, n) * (1.0 + rng.integers(-4, 5, n) * 2.0**-52)
+            else:
+                x = rng.integers(1, 10**9, n) * 10.0 ** rng.integers(-13, 9, n)
+            assert _kernel_text(x) == _percent_text(x.tolist())
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @example([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e-4, -1e17])
+    def test_any_floats_match_percent(self, values):
+        assert _kernel_text(values) == _percent_text(values)
 
 
 class TestCli:
