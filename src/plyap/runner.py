@@ -6,7 +6,6 @@ summary.json embeds the config hash (a figure's SVG does not).
 """
 
 import datetime
-import hashlib
 import json
 import re
 from bisect import bisect_left, bisect_right
@@ -46,6 +45,16 @@ from .geometry import GridBasis1D, GridBasis2D, ProjectiveState, overlap_magnitu
 from .quantum import GaussianState, QuadraticSystem, bvs_baker, bvs_coherent_state, gaussian_autocorrelation
 from .series import DEFAULT_THETA
 from .svgplot import render_line_plot
+
+# CPython's builtin sha256, as random.py takes its sha512: hashlib loads
+# OpenSSL (about 3.6 MB of peak RSS) for one digest of a small config
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "ExperimentConfig",
@@ -276,7 +285,7 @@ class ExperimentConfig:
 
 
 def _config_hash(config_dict: dict) -> str:
-    return hashlib.sha256(json.dumps(config_dict, sort_keys=True).encode()).hexdigest()[:16]
+    return _sha256(json.dumps(config_dict, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @dataclass(eq=False)

@@ -51,7 +51,7 @@ class DivergenceSeries:
         lv = np.asarray(self.log_values, dtype=float)
         if d.shape != t.shape or lv.shape != t.shape:
             raise DomainError("distances/log_values must match times in length")
-        if np.any(d < -1e-12) or np.any(d > np.pi + 1e-12):
+        if not np.all((d >= -1e-12) & (d <= np.pi + 1e-12)):  # NaN fails too
             raise DomainError("distances must lie in [0, pi]")
         if np.any(np.isnan(lv)):
             raise DomainError("log divergence values must not be NaN")

@@ -1,7 +1,10 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plyap import (
     DataFormatError,
@@ -16,6 +19,7 @@ from plyap import (
     baker_map,
     detect_saturation,
     divergence_series,
+    estimators,
     evolve_linear_analytic,
     finite_time_p_lyapunov,
     ingest_overlap_series,
@@ -45,8 +49,9 @@ class TestSeriesTypes:
             DivergenceSeries(np.array([0.0, 0.0, 1.0]), np.zeros(3), np.zeros(3))
 
     def test_values_must_be_in_range(self):
-        with pytest.raises(DomainError):
-            DivergenceSeries(np.array([0.0, 1.0]), np.array([0.0, 4.0]), np.zeros(2))
+        for bad in (4.0, -0.1, np.nan):
+            with pytest.raises(DomainError):
+                DivergenceSeries(np.arange(6.0), np.array([0.1, 0.2, bad, 0.4, 0.5, 0.6]), np.zeros(6))
 
     def test_saturation_flags(self):
         d = DivergenceSeries(
@@ -257,6 +262,20 @@ class TestDetectSaturation:
         vals = np.concatenate([np.linspace(0.0, 2.8, 5), [np.pi - 0.01], tail])
         d = series_from_log_overlaps(t, np.log(np.cos(vals / 2)), 0.05)
         assert detect_saturation(d) == 5.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 3.0, np.pi - 0.05, np.pi]),
+                              st.floats(0.0, np.pi)), min_size=1, max_size=60),
+           st.sampled_from([0.0, 0.05, 0.5]))
+    @example([0.0, -0.0, -0.0, 0.0], 0.0)
+    @example([3.0, -0.0, 3.0, 0.0, np.pi, np.pi], 0.05)
+    def test_plateau_matches_np_median(self, distances, theta):
+        n = len(distances)
+        div = DivergenceSeries(np.arange(float(n)), distances, np.zeros(n), theta)
+        assert estimators._median(div.distances) == np.median(div.distances)
+        t_b = detect_saturation(div)
+        with mock.patch.object(estimators, "_median", lambda x: float(np.median(x))):
+            assert t_b == detect_saturation(div)
 
 
 class TestIngestion:

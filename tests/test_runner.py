@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -129,6 +131,20 @@ class TestConfig:
         h = [runner._config_hash(cfg.to_dict()) for cfg in (a, b, c)]
         assert h[0] == h[1]
         assert h[0] != h[2]
+
+    @pytest.mark.parametrize("cfg", [
+        dict(id="x", system="linear"),
+        dict(id="Δλ-ü_量子", system="barrier", omega=2.0, steps=200, dt=0.05),
+        dict(id="w", system="linear", steps=30, window=[5.0, None], theta=0.0),
+        dict(id="f", system="overlap_file", path="data/s.csv", convention="probability"),
+    ])
+    def test_hash_is_sha256_of_sorted_json(self, cfg):
+        # whichever sha256 module the running Python gives runner
+        import hashlib
+
+        d = ExperimentConfig(**cfg).to_dict()
+        expected = hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
+        assert runner._config_hash(d) == expected
 
 
 class TestRun:
@@ -685,6 +701,41 @@ class TestWriters:
         rows = steps + 1
         assert (rows >= floattext.BLOCK_ROWS) == bool(frames)
         assert all(size <= floattext.BLOCK_ROWS for size in frames)
+
+
+# every system's small run, an ingest long enough for the float kernel, and fig1a;
+# prints the heavy modules that plyap loaded beyond a bare "import numpy"
+_FOOTPRINT_SCRIPT = """
+import json, sys
+import numpy
+heavy = ("_hashlib", "numpy.ma")
+bare = {name for name in heavy if name in sys.modules}
+from plyap import ExperimentConfig, figure, ingest, run
+runs, series, out = json.loads(sys.argv[1]), sys.argv[2], sys.argv[3]
+for system, params in runs.items():
+    run(ExperimentConfig(id=system, system=system, **params), out_dir=out)
+ingest(series, out_dir=out)
+figure("fig1a", out)
+print(json.dumps([name for name in heavy if name in sys.modules and name not in bare]))
+"""
+
+
+class TestStartupFootprint:
+    def test_runs_load_no_openssl_or_numpy_ma(self, tmp_path):
+        # hashlib maps OpenSSL (about 3.6 MB) and np.median imports numpy.ma
+        # (about 0.75 MB): both are start-up cost of every plyap process
+        rng = np.random.default_rng(3)
+        t = np.arange(3000) * 0.01
+        v = np.maximum(np.exp(-0.5 * t), 0.005 * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, t.size)))
+        series = tmp_path / "noisy.csv"
+        series.write_text("t,overlap\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), v.tolist())))
+        runs = {**_SMALL_RUNS, "overlap_file": {**_SMALL_RUNS["overlap_file"], "path": str(series)}}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_SCRIPT, json.dumps(runs), str(series), str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def _kernel_text(values) -> bytes:
