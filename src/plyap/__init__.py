@@ -10,7 +10,6 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     InvalidStateError,
-    NumericalOverflowError,
     PlyapError,
     SaturationError,
 )
@@ -19,10 +18,6 @@ from .geometry import (
     GridBasis1D,
     GridBasis2D,
     ProjectiveState,
-    bounded_euclidean_distance,
-    classical_divergence,
-    fubini_study_distance,
-    hilbert_distance,
     log_abs_exp_diff,
     log_projective_divergence,
     overlap_magnitude,
@@ -37,13 +32,10 @@ from .series import (
 from .ensembles import (
     GridDensity,
     MapDescriptor,
-    apply_map,
     baker_map,
     density_overlap,
     evolve_linear_analytic,
-    linear_map,
     r_adic_map,
-    rotation_map,
     sqrt_embed,
     square_density,
     transfer_step,
@@ -55,7 +47,6 @@ from .estimators import (
     finite_time_p_lyapunov,
     ingest_overlap_series,
     read_overlap_csv,
-    trajectory_lyapunov,
 )
 from .quantum import (
     GaussianState,
@@ -72,6 +63,5 @@ from .runner import (
     figure,
     ingest,
     run,
-    selftest,
     validate_summary,
 )

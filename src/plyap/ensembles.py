@@ -1,12 +1,10 @@
 """Grid densities, the built-in classical maps, and their exact evolution.
 
-Four maps are declared here: linear(r), r_adic(r), the baker and
-rotation(c).  Each acts on points (apply_map, which the trajectory
-exponents use).  The baker and the r-adic map also evolve densities:
-piecewise constant on uniform grids, by the exact pushforward, where every
-output cell receives the average of the input density over the preimage
-of that cell.  Those preimages are finite unions of rectangles, so the
-averages are exact and total mass is conserved to rounding.  A density may
+The baker and the r-adic map evolve densities: piecewise constant on
+uniform grids, by the exact pushforward, where every output cell receives
+the average of the input density over the preimage of that cell.  Those
+preimages are finite unions of rectangles, so the averages are exact and
+total mass is conserved to rounding.  A density may
 hold one value per block of equal cells (see GridDensity); the baker
 transfer keeps it on blocks, so a density that is constant on dyadic
 rectangles costs as many operations per step as it has blocks, not cells
@@ -30,11 +28,8 @@ from .series import series_from_log_overlaps
 __all__ = [
     "GridDensity",
     "MapDescriptor",
-    "linear_map",
     "r_adic_map",
     "baker_map",
-    "rotation_map",
-    "apply_map",
     "square_density",
     "sqrt_embed",
     "density_overlap",
@@ -107,28 +102,17 @@ def _cells(blocks: np.ndarray, shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MapDescriptor:
-    """One of the built-in maps: linear(r), r_adic(r), baker, rotation(c)."""
+    """One of the maps transfer_step evolves: r_adic(r) or the baker."""
 
     kind: str
     r: float | None = None
-    c: float | None = None
 
     def __post_init__(self):
-        if self.kind == "linear":
-            if self.r is None or not self.r > 1.0:
-                raise DomainError("linear map needs r > 1")
-        elif self.kind == "r_adic":
+        if self.kind == "r_adic":
             if self.r is None or self.r < 2 or self.r != int(self.r):
                 raise DomainError("r-adic map needs integer r >= 2")
-        elif self.kind == "rotation":
-            if self.c is None or not 0.0 <= self.c < 1.0:
-                raise DomainError("rotation needs shift c in [0, 1)")
         elif self.kind != "baker":
             raise DomainError(f"unknown map kind {self.kind!r}")
-
-
-def linear_map(r: float) -> MapDescriptor:
-    return MapDescriptor("linear", r=float(r))
 
 
 def r_adic_map(r: int) -> MapDescriptor:
@@ -137,27 +121,6 @@ def r_adic_map(r: int) -> MapDescriptor:
 
 def baker_map() -> MapDescriptor:
     return MapDescriptor("baker")
-
-
-def rotation_map(c: float) -> MapDescriptor:
-    return MapDescriptor("rotation", c=float(c))
-
-
-def apply_map(m: MapDescriptor, x: np.ndarray) -> np.ndarray:
-    """Pointwise application of a map to a phase-space point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if m.kind == "linear":
-        return m.r * x
-    if m.kind == "r_adic":
-        return np.mod(m.r * x, 1.0)
-    if m.kind == "rotation":
-        return np.mod(x + m.c, 1.0)
-    # baker: stretch x by 2, cut, and stack in y
-    if x.shape != (2,):
-        raise DomainError("baker map acts on 2D points")
-    two_x = 2.0 * x[0]
-    cut = np.floor(two_x)
-    return np.array([two_x - cut, (x[1] + cut) / 2.0])
 
 
 def square_density(b: float, grid: GridBasis1D) -> GridDensity:
@@ -341,16 +304,13 @@ def transfer_step(rho: GridDensity, m: MapDescriptor) -> GridDensity:
     Output cell values are the exact averages of the input density over the
     preimages of the cells; mass is conserved to rounding and positivity is
     preserved.  The baker step keeps the density on blocks (an n x 1 slab
-    stays at n values); the r-adic step returns one value per cell.  Other
-    maps have no transfer here and raise DomainError.
+    stays at n values); the r-adic step returns one value per cell.
     """
     geom = rho.geometry
     if m.kind == "baker":
         if not isinstance(geom, GridBasis2D) or geom.nx != geom.ny or geom.nx % 2:
             raise DomainError("baker transfer needs a square 2D grid with even side")
         return GridDensity(_baker_kernel(rho.values, geom.nx), geom)
-    if m.kind != "r_adic":
-        raise DomainError(f"transfer_step evolves the baker and r-adic maps, not {m.kind!r}")
     if not isinstance(geom, GridBasis1D):
         raise DomainError(f"{m.kind} transfer needs a 1D grid")
     if (geom.x_lo, geom.x_hi) != (0.0, 1.0):

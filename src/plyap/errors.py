@@ -48,6 +48,3 @@ class ConfigError(PlyapError):
         super().__init__(message)
         self.field = field
 
-
-class NumericalOverflowError(PlyapError):
-    """A trajectory or series left the range of double precision."""

@@ -23,20 +23,14 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .ensembles import apply_map
 from .errors import (
     DataFormatError,
     DegeneratePathError,
     DomainError,
     InsufficientDataError,
-    NumericalOverflowError,
     SaturationError,
 )
-from .geometry import (
-    bounded_euclidean_distance,
-    classical_divergence,
-    log_abs_exp_diff,
-)
+from .geometry import log_abs_exp_diff
 from .series import (
     DEFAULT_THETA,
     DivergenceSeries,
@@ -52,7 +46,6 @@ __all__ = [
     "detect_saturation",
     "ingest_overlap_series",
     "read_overlap_csv",
-    "trajectory_lyapunov",
 ]
 
 
@@ -338,65 +331,3 @@ def _read_overlap_rows(path, convention: str) -> OverlapSeries:
         line = lines[exc.row]
         raise DataFormatError(f"{path}: {exc} (line {line})", row=line) from exc
 
-
-def trajectory_lyapunov(
-    map_descriptor,
-    x0,
-    epsilon: float = 1e-9,
-    steps: int = 400,
-    method: str = "direct",
-) -> float:
-    """Two-trajectory exponent of a built-in classical map.
-
-    Tracks a companion point offset by epsilon, renormalizing the separation
-    back to epsilon after every step and accumulating the log stretch.
-    method "direct" uses the Euclidean separation; "divergence" pushes each
-    separation through the bounded metric and its divergence (an algebraic
-    identity makes the two agree to rounding).
-    """
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
-    if method not in ("direct", "divergence"):
-        raise DomainError(f"unknown method {method!r}")
-    kind = map_descriptor.kind
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    offset = np.zeros_like(x)
-    offset[0] = epsilon
-    y = x + offset
-
-    def separation(a, b):
-        # periodic coordinates compare by minimal image so a wrap event does
-        # not masquerade as an O(1) jump (the x coordinate for the baker,
-        # everything for the circle maps)
-        delta = b - a
-        if kind in ("r_adic", "rotation"):
-            delta -= np.round(delta)
-        elif kind == "baker":
-            delta[0] -= np.round(delta[0])
-        return delta
-
-    def log_stretch(d):
-        if method == "direct":
-            return np.log(d / epsilon)
-        lam_d = classical_divergence(bounded_euclidean_distance(d))
-        lam_e = classical_divergence(bounded_euclidean_distance(epsilon))
-        return np.log(lam_d / lam_e)
-
-    total = 0.0
-    for _ in range(steps):
-        x = apply_map(map_descriptor, x)
-        y = apply_map(map_descriptor, y)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise NumericalOverflowError("trajectory left double-precision range")
-        delta = separation(x, y)
-        d = float(np.linalg.norm(delta))
-        if d == 0.0:
-            raise DegeneratePathError("trajectories coincide; cannot renormalize")
-        total += log_stretch(d)
-        delta *= epsilon / d
-        if kind == "linear":
-            # the stretch of x -> r x is position-independent, so the base
-            # may be rescaled (homogeneity) to keep x + epsilon representable
-            x = x / float(np.max(np.abs(x)))
-        y = x + delta
-    return total / steps

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BasisMismatchError,
-    DomainError,
-    InvalidStateError,
-    SaturationError,
-)
+from .errors import BasisMismatchError, DomainError, InvalidStateError
 
 __all__ = [
     "DiscreteBasis",
@@ -30,12 +25,8 @@ __all__ = [
     "GridBasis2D",
     "ProjectiveState",
     "overlap_magnitude",
-    "fubini_study_distance",
-    "bounded_euclidean_distance",
-    "classical_divergence",
     "log_projective_divergence",
     "log_abs_exp_diff",
-    "hilbert_distance",
 ]
 
 
@@ -165,38 +156,6 @@ def overlap_magnitude(a: ProjectiveState, b: ProjectiveState) -> float:
     return float(min(1.0, abs(inner) / (a.norm() * b.norm())))
 
 
-def fubini_study_distance(a: ProjectiveState, b: ProjectiveState) -> float:
-    """Geodesic distance 2 arccos |<a, b>| between the rays of a and b, in [0, pi]."""
-    return 2.0 * float(np.arccos(overlap_magnitude(a, b)))
-
-
-def bounded_euclidean_distance(d) -> float:
-    """Map an unbounded distance d >= 0 to pi*d/(1+d) in [0, pi).
-
-    Monotone, 0 iff d == 0, topology-preserving.
-    """
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 0.0) or not np.all(np.isfinite(d)):
-        raise DomainError("distance must be finite and non-negative")
-    out = np.pi * d / (1.0 + d)
-    return float(out) if out.ndim == 0 else out
-
-
-def classical_divergence(d_b) -> float:
-    """Invert the bounding: d_b / (pi - d_b) for d_b in [0, pi).
-
-    Composed with bounded_euclidean_distance this recovers the original
-    distance exactly: cd(bd(d)) = d.
-    """
-    d_b = np.asarray(d_b, dtype=float)
-    if np.any(d_b < 0.0):
-        raise DomainError("bounded distance must be non-negative")
-    if np.any(d_b >= np.pi):
-        raise SaturationError("bounded distance reached pi; divergence undefined")
-    out = d_b / (np.pi - d_b)
-    return float(out) if out.ndim == 0 else out
-
-
 _SMALL_OVERLAP = 1e-8
 
 
@@ -242,14 +201,3 @@ def log_abs_exp_diff(a, b):
         out = np.where(np.isneginf(a) & np.isneginf(b), -np.inf, out)
     return float(out) if out.ndim == 0 else out
 
-
-def hilbert_distance(a: ProjectiveState, b: ProjectiveState) -> float:
-    """Weighted 2-norm ||a - b|| of the raw amplitude vectors (no ray normalization).
-
-    Exists to exhibit the flat-metric invariance under unitary evolution:
-    unitaries preserve this distance for every pair, which is exactly why it
-    carries no sensitivity information.
-    """
-    _require_same_basis(a, b)
-    diff = a.amplitudes.ravel() - b.amplitudes.ravel()
-    return float(np.sqrt(np.vdot(diff, diff).real * a.weight))

@@ -62,7 +62,6 @@ __all__ = [
     "run",
     "figure",
     "ingest",
-    "selftest",
     "FIGURE_IDS",
     "SUMMARY_SCHEMA",
     "validate_summary",
@@ -597,102 +596,3 @@ def ingest(path, convention: str | None = None, out_dir=None, **estimator_kwargs
     })
     return run(cfg, out_dir=out_dir)
 
-
-def selftest() -> int:
-    """Run the built-in property battery; returns the number of failures."""
-    from .geometry import (
-        DiscreteBasis,
-        bounded_euclidean_distance,
-        classical_divergence,
-        fubini_study_distance,
-        hilbert_distance,
-    )
-    from .ensembles import rotation_map, linear_map as _linmap
-    from .estimators import trajectory_lyapunov
-
-    rng = np.random.default_rng(20260808)
-
-    def ray_invariance():
-        basis = DiscreteBasis(6)
-        a = ProjectiveState(rng.standard_normal(6) + 1j * rng.standard_normal(6), basis)
-        b = ProjectiveState(rng.standard_normal(6) + 1j * rng.standard_normal(6), basis)
-        c = complex(rng.standard_normal(), rng.standard_normal())
-        scaled = ProjectiveState(c * a.amplitudes, basis)
-        return abs(fubini_study_distance(scaled, b) - fubini_study_distance(a, b)) < 1e-12
-
-    def composition_identity():
-        return all(
-            abs(classical_divergence(bounded_euclidean_distance(d)) - d) <= 1e-10 * (1.0 + d)
-            for d in (0.0, 1e-6, 1.0, 1e6)
-        )
-
-    def triangle():
-        basis = DiscreteBasis(5)
-        for _ in range(200):
-            s = [
-                ProjectiveState(rng.standard_normal(5) + 1j * rng.standard_normal(5), basis)
-                for _ in range(3)
-            ]
-            d01 = fubini_study_distance(s[0], s[1])
-            d12 = fubini_study_distance(s[1], s[2])
-            d02 = fubini_study_distance(s[0], s[2])
-            if d02 > d01 + d12 + 1e-10:
-                return False
-        return True
-
-    def bvs_unitary():
-        b = bvs_baker(128)(np.eye(128))
-        return float(np.max(np.abs(b.conj().T @ b - np.eye(128)))) < 1e-10
-
-    def eq2_invariance():
-        step = bvs_baker(64)
-        basis = DiscreteBasis(64)
-        u = ProjectiveState(rng.standard_normal(64) + 1j * rng.standard_normal(64), basis)
-        v = ProjectiveState(rng.standard_normal(64) + 1j * rng.standard_normal(64), basis)
-        before = hilbert_distance(u, v)
-        after = hilbert_distance(
-            ProjectiveState(step(u.amplitudes), basis), ProjectiveState(step(v.amplitudes), basis)
-        )
-        return abs(after - before) < 1e-10
-
-    def mass_conserved():
-        grid = GridBasis1D(4096, 0.0, 1.0)
-        rho = GridDensity(rng.random(4096) + 0.1, grid)
-        rho = GridDensity(rho.values / rho.mass, grid)
-        out = transfer_step(rho, r_adic_map(3))
-        return abs(out.mass - rho.mass) < 1e-14 and np.all(out.values >= 0.0)
-
-    def trajectories():
-        lam_lin = trajectory_lyapunov(_linmap(2.0), [0.7], steps=60)
-        lam_rot = trajectory_lyapunov(rotation_map(0.37), [0.2], steps=60)
-        lam_bak = trajectory_lyapunov(baker_map(), [0.312, 0.547], steps=60)
-        return (
-            abs(lam_lin - np.log(2.0)) < 1e-6
-            and abs(lam_rot) < 1e-6
-            and abs(lam_bak - np.log(2.0)) < 1e-6
-        )
-
-    def linear_exponent():
-        div = evolve_linear_analytic(2.0, 40)
-        est = asymptotic_estimate(div, window=(10.0, 39.0))
-        return abs(est.asymptotic_value / _LN2_HALF - 1.0) < 0.01
-
-    checks = [
-        ("ray invariance", ray_invariance),
-        ("divergence composition identity", composition_identity),
-        ("triangle inequality (200 triples)", triangle),
-        ("quantized baker unitarity N=128", bvs_unitary),
-        ("flat-metric invariance under the baker unitary", eq2_invariance),
-        ("transfer-operator mass conservation", mass_conserved),
-        ("trajectory exponents (linear, rotation, baker)", trajectories),
-        ("linear-map exponent ln(2)/2", linear_exponent),
-    ]
-    failures = 0
-    for name, check in checks:
-        try:
-            ok = bool(check())
-        except PlyapError:
-            ok = False
-        failures += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    return failures

@@ -5,13 +5,138 @@ oracle gathers each output cell, without calling the plyap code under
 test.  The linear-map transfer and the split-operator propagator are grid
 realisations of flows that plyap evolves in closed form; they take and
 return plyap's state types (GridDensity, ProjectiveState) but share no
-evolution code with it.
+evolution code with it.  The trajectory exponent is the classical
+Lyapunov exponent of a point map, which plyap's density and ray exponents
+are compared against; the distances state the ray-space metric and the
+flat metric that the identities in the tests are written in.
 """
 
 import numpy as np
 
-from plyap import DomainError, GridBasis1D, GridDensity, ProjectiveState
+from plyap import (
+    BasisMismatchError,
+    DegeneratePathError,
+    DomainError,
+    GridBasis1D,
+    GridDensity,
+    PlyapError,
+    ProjectiveState,
+    SaturationError,
+    overlap_magnitude,
+)
 from plyap.quantum import _width_param
+
+
+class NumericalOverflowError(PlyapError):
+    """A trajectory left the range of double precision."""
+
+
+def fubini_study_distance(a, b):
+    """Geodesic distance 2 arccos |<a, b>| between the rays of a and b, in [0, pi]."""
+    return 2.0 * float(np.arccos(overlap_magnitude(a, b)))
+
+
+def hilbert_distance(a, b):
+    """Weighted 2-norm ||a - b|| of the raw amplitude vectors (no ray normalization).
+
+    Unitaries preserve this distance for every pair, which is exactly why it
+    carries no sensitivity information.
+    """
+    if a.basis != b.basis:
+        raise BasisMismatchError(f"bases differ: {a.basis!r} vs {b.basis!r}")
+    diff = a.amplitudes.ravel() - b.amplitudes.ravel()
+    return float(np.sqrt(np.vdot(diff, diff).real * a.weight))
+
+
+def bounded_euclidean_distance(d):
+    """Map an unbounded distance d >= 0 to pi*d/(1+d) in [0, pi): monotone, 0 iff d == 0."""
+    d = np.asarray(d, dtype=float)
+    if np.any(d < 0.0) or not np.all(np.isfinite(d)):
+        raise DomainError("distance must be finite and non-negative")
+    out = np.pi * d / (1.0 + d)
+    return float(out) if out.ndim == 0 else out
+
+
+def classical_divergence(d_b):
+    """Invert the bounding: d_b / (pi - d_b) for d_b in [0, pi), so cd(bd(d)) = d."""
+    d_b = np.asarray(d_b, dtype=float)
+    if np.any(d_b < 0.0):
+        raise DomainError("bounded distance must be non-negative")
+    if np.any(d_b >= np.pi):
+        raise SaturationError("bounded distance reached pi; divergence undefined")
+    out = d_b / (np.pi - d_b)
+    return float(out) if out.ndim == 0 else out
+
+
+def linear_map(r):
+    """The point step x -> r x."""
+    return lambda x: r * x
+
+
+def rotation_map(c):
+    """The point step x -> x + c mod 1."""
+    return lambda x: np.mod(x + c, 1.0)
+
+
+def apply_map(m, x):
+    """One step of plyap's r-adic or baker MapDescriptor m on a point x."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if m.kind == "r_adic":
+        return np.mod(m.r * x, 1.0)
+    # baker: stretch x by 2, cut, and stack in y
+    two_x = 2.0 * x[0]
+    cut = np.floor(two_x)
+    return np.array([two_x - cut, (x[1] + cut) / 2.0])
+
+
+def trajectory_lyapunov(step, x0, epsilon=1e-9, steps=400, method="direct"):
+    """Two-trajectory exponent of the point map step.
+
+    Tracks a companion point offset by epsilon, renormalizing the separation
+    back to epsilon after every step and accumulating the log stretch.
+    Each coordinate of a separation is taken by minimal image, so a wrap of
+    a periodic coordinate is not an O(1) jump; a separation of a few epsilon
+    is left as it is.  A step that takes the point out of the unit box must
+    be homogeneous, step(a x) = a step(x) for a > 0, as x -> r x is: the
+    point is scaled back to unit size, so that x + epsilon stays
+    representable.  method "direct" uses the Euclidean separation;
+    "divergence" pushes each separation through the bounded metric and its
+    divergence (an algebraic identity makes the two agree to rounding).
+    """
+    if epsilon <= 0.0:
+        raise DomainError("epsilon must be positive")
+    if method not in ("direct", "divergence"):
+        raise DomainError(f"unknown method {method!r}")
+    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    offset = np.zeros_like(x)
+    offset[0] = epsilon
+    y = x + offset
+
+    def log_stretch(d):
+        if method == "direct":
+            return np.log(d / epsilon)
+        lam_d = classical_divergence(bounded_euclidean_distance(d))
+        lam_e = classical_divergence(bounded_euclidean_distance(epsilon))
+        return np.log(lam_d / lam_e)
+
+    total = 0.0
+    for _ in range(steps):
+        x = step(x)
+        y = step(y)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise NumericalOverflowError("trajectory left double-precision range")
+        delta = y - x
+        delta -= np.round(delta)
+        d = float(np.linalg.norm(delta))
+        if d == 0.0:
+            raise DegeneratePathError("trajectories coincide; cannot renormalize")
+        total += log_stretch(d)
+        delta *= epsilon / d
+        scale = float(np.max(np.abs(x)))
+        if scale > 1.0:
+            x = x / scale
+        y = x + delta
+    return total / steps
 
 
 def gather_baker_kernel(f):

@@ -30,7 +30,9 @@ def test_exports_are_the_modules_all_and_the_errors():
 @pytest.mark.parametrize(
     "name",
     ["koopman_step", "split_operator_propagate", "plan_split_grid", "gaussian_on_grid",
-     "barrier_overlap_paper", "DomainOverflowError"],
+     "barrier_overlap_paper", "DomainOverflowError", "selftest", "trajectory_lyapunov",
+     "apply_map", "linear_map", "rotation_map", "fubini_study_distance", "hilbert_distance",
+     "bounded_euclidean_distance", "classical_divergence", "NumericalOverflowError"],
 )
 def test_test_oracles_stay_out_of_the_package(name):
     assert all(not hasattr(module, name) for module in [plyap, *MODULES])

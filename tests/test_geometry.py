@@ -10,15 +10,17 @@ from plyap import (
     InvalidStateError,
     ProjectiveState,
     SaturationError,
-    bounded_euclidean_distance,
-    classical_divergence,
-    fubini_study_distance,
-    hilbert_distance,
     log_projective_divergence,
     overlap_magnitude,
 )
 
-from oracles import linear_transfer
+from oracles import (
+    bounded_euclidean_distance,
+    classical_divergence,
+    fubini_study_distance,
+    hilbert_distance,
+    linear_transfer,
+)
 
 
 def unit(i, n, basis=None):

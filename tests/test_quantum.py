@@ -10,7 +10,6 @@ from plyap import (
     bvs_baker,
     bvs_coherent_state,
     gaussian_autocorrelation,
-    hilbert_distance,
     overlap_magnitude,
 )
 from plyap.quantum import _width_param
@@ -19,6 +18,7 @@ from oracles import (
     barrier_half_form,
     barrier_overlap_paper,
     gaussian_on_grid,
+    hilbert_distance,
     oscillator_form,
     plan_split_grid,
     split_operator_propagate,

@@ -34,6 +34,7 @@ from plyap import (
     transfer_step,
     validate_summary,
 )
+from plyap import cli
 from plyap.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from plyap.runner import ExperimentConfig, figure, ingest, run
 from plyap.svgplot import _H, _MB, _ML, _MR, _MT, _W
@@ -950,6 +951,16 @@ class TestCli:
     def test_selftest_command(self, capsys):
         assert main(["selftest"]) == EXIT_OK
         assert "all checks passed" in capsys.readouterr().out
+
+    def test_selftest_reports_a_failing_check(self, monkeypatch, capsys):
+        name = "r_adic: lambda within 5% of ln(2)/2"
+        fields, _ = cli._RUNS[name]
+        monkeypatch.setitem(cli._RUNS, name, (fields, lambda s: s["lambda"] > 1e300))
+        assert main(["selftest"]) == EXIT_NUMERICAL
+        lines = capsys.readouterr().out.splitlines()
+        assert f"FAIL  {name}" in lines
+        assert sum(line.startswith("FAIL") for line in lines) == 1
+        assert lines[-1] == "1 check(s) failed"
 
 
 class TestSummarySchema:
