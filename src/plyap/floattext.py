@@ -1,14 +1,13 @@
-"""The exact "%.17g" text of float64 blocks, built by numpy, and the CSV writer
-of long series that uses it.
+"""The exact "%.17g" text of float64 blocks, built by numpy, and plyap's CSV
+writer.
 
 float_frame lays the text of a block out position-major; row_text reads
 stacked frames back as the rows of a CSV block; write_csvs writes a run's
-CSVs block by block.  runner picks this writer for a series of BLOCK_ROWS
-rows or more.  It is a module of its own because a process that caches no
-bytecode compiles runner.py at import, and a longer runner.py raises the
-process's peak RSS: with this code inside runner.py, by about 0.6 MB at
-import, and with write_csvs alone, by about 0.35 MB over a qbaker_sweep
-benchmark run (CPython 3.11).
+CSVs block by block, through the kernel or through %.  It is a module of its
+own because a process that caches no bytecode compiles runner.py at import,
+and a longer runner.py raises the process's peak RSS: with this code inside
+runner.py, by about 0.6 MB at import, and with write_csvs alone, by about
+0.35 MB over a qbaker_sweep benchmark run (CPython 3.11).
 """
 
 import contextlib
@@ -107,19 +106,22 @@ def row_text(frames) -> bytes:
     return rows[rows.any(axis=1)].T.tobytes().translate(None, b"\0")
 
 
-# float_frame costs about 60 us even on a few values, what % takes for about 300
-# floats, so a series shorter than one block keeps runner's % writer: the runs
-# of the figures and the default systems (13 to 1201 rows) write as before.
 # float_frame took 89 ns per value in 2048-value blocks (16 kB of float64, so
 # its temporaries stay in cache), and 129-137 ns in 1024-, 4096- and 8192-value
 # blocks (CPython 3.11, numpy 2.4).
 BLOCK_ROWS = 2048
+# float_frame costs about 60 us even on a few values, what % takes for about 160
+# floats.  The kernel overtook % at about 200 rows on in-memory blocks and at
+# about 400 on _write_result calls that wrote real files, so a block shorter
+# than KERNEL_ROWS is one % per file.  % grows its text by reallocation, and
+# 4096-row % blocks fragmented the heap of a long ingest loop (+2 MB per 100
+# 20k-row ingests): no % block reaches KERNEL_ROWS rows.
+KERNEL_ROWS = 512
 
 
 def write_csvs(config_hash: str, times, files: dict, saturated=None):
     """Write files ({path: (header, column)}) row by row, t, column value and, when
-    saturated is given, the flag, one float_frame per block and column; every
-    file shares a block's t text and flags."""
+    saturated is given, the flag; every file shares a block's t text and flags."""
     with contextlib.ExitStack() as stack:
         handles = []
         for path, (header, column) in files.items():
@@ -128,11 +130,35 @@ def write_csvs(config_hash: str, times, files: dict, saturated=None):
             handles.append((fh, column))
         for start in range(0, len(times), BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
-            t = float_frame(times[block])
-            comma = np.full((1, t.shape[1]), 44, dtype=np.uint8)
-            tail = np.full((1 if saturated is None else 3, t.shape[1]), 10, dtype=np.uint8)
-            if saturated is not None:  # ",0\n" or ",1\n"
-                tail[0] = 44
-                tail[1] = saturated[block] + np.uint8(48)
+            t = times[block]
+            flags = None if saturated is None else saturated[block]
+            text = (_kernel_rows if t.size >= KERNEL_ROWS else _percent_rows)(t, flags)
             for fh, column in handles:
-                fh.write(row_text([t, comma, float_frame(column[block]), tail]))
+                fh.write(text(column[block]))
+
+
+def _kernel_rows(t, flags):
+    """The text of a block's rows as a function of their column: one float_frame for
+    t and one per column."""
+    t = float_frame(t)
+    comma = np.full((1, t.shape[1]), 44, dtype=np.uint8)
+    tail = np.full((1 if flags is None else 3, t.shape[1]), 10, dtype=np.uint8)
+    if flags is not None:  # ",0\n" or ",1\n"
+        tail[0] = 44
+        tail[1] = flags + np.uint8(48)
+    return lambda column: row_text([t, comma, float_frame(column), tail])
+
+
+def _percent_rows(t, flags):
+    """The text of a block's rows as a function of their column: one % per column
+    over head, %.17g and tail."""
+    n = t.size
+    values = [None] * (3 * n)
+    values[::3] = (b"%.17g,\n" * n % tuple(t.tolist())).splitlines()
+    values[2::3] = [b"\n"] * n if flags is None else map((b",0\n", b",1\n").__getitem__, flags.tolist())
+    form = b"%s%.17g%s" * n
+
+    def text(column):
+        values[1::3] = column.tolist()
+        return form % tuple(values)
+    return text

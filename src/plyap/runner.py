@@ -379,25 +379,6 @@ def _curve(result) -> np.ndarray:
     return np.empty((0, 2)) if result.estimate is None else result.estimate.finite_time_curve
 
 
-# rows per % and per write; % grows a block's text by reallocation, and 4096-row
-# blocks fragmented the heap of a long ingest loop (+2 MB per 100 20k-row ingests)
-_ROWS_PER_WRITE = 256
-_FLAGS = np.array([",0\n", ",1\n"], dtype=object)  # a row's tail: its saturated flag and line end
-
-
-def _write_csv(path: Path, config_hash: str, header: str, heads: list, column, tails: list):
-    """Rows of ready text around one float, each block one % over head, %.17g and tail."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash}\n{header}\n")
-        for start in range(0, len(heads), _ROWS_PER_WRITE):
-            block = heads[start:start + _ROWS_PER_WRITE]
-            values = [None] * (3 * len(block))
-            values[::3] = block
-            values[1::3] = column[start:start + _ROWS_PER_WRITE].tolist()
-            values[2::3] = tails[start:start + _ROWS_PER_WRITE]
-            fh.write("%s%.17g%s" * len(block) % tuple(values))
-
-
 SUMMARY_SCHEMA = {
     "type": "object",
     "required": [
@@ -499,22 +480,12 @@ def _write_result(result: ExperimentResult, out_dir: Path) -> Path:
     exp_dir.mkdir(parents=True, exist_ok=True)
     h = result.summary["config_hash"]
     div = result.divergence
-    curve = _curve(result)  # its times are series times: a row takes its sample's t text
-    if div.times.size >= floattext.BLOCK_ROWS:
-        floattext.write_csvs(h, div.times, {
-            exp_dir / "distance.csv": ("t,d_p,saturated", div.distances),
-            exp_dir / "divergence.csv": ("t,log_divergence,saturated", div.log_values),
-        }, div.saturated)
-        floattext.write_csvs(h, curve[:, 0], {exp_dir / "lambda_t.csv": ("t,lambda_t", curve[:, 1])})
-    else:
-        heads = ("%.17g,\n" * div.times.size % tuple(div.times.tolist())).splitlines()
-        tails = _FLAGS.take(div.saturated).tolist()
-        _write_csv(exp_dir / "distance.csv", h, "t,d_p,saturated", heads, div.distances, tails)
-        _write_csv(exp_dir / "divergence.csv", h, "t,log_divergence,saturated", heads,
-                   div.log_values, tails)
-        curve_heads = list(map(heads.__getitem__, np.searchsorted(div.times, curve[:, 0]).tolist()))
-        _write_csv(exp_dir / "lambda_t.csv", h, "t,lambda_t", curve_heads, curve[:, 1],
-                   ["\n"] * len(curve))
+    curve = _curve(result)  # its times are series times, so a row's t text is its sample's
+    floattext.write_csvs(h, div.times, {
+        exp_dir / "distance.csv": ("t,d_p,saturated", div.distances),
+        exp_dir / "divergence.csv": ("t,log_divergence,saturated", div.log_values),
+    }, div.saturated)
+    floattext.write_csvs(h, curve[:, 0], {exp_dir / "lambda_t.csv": ("t,lambda_t", curve[:, 1])})
     (exp_dir / "summary.json").write_text(json.dumps(result.summary, indent=2, sort_keys=True) + "\n")
     return exp_dir
 

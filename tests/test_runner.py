@@ -593,7 +593,7 @@ class TestWriters:
             "crlf": "\r\n".join(["t,overlap", *rows, ""]),
             "blank": "\n".join(["t,overlap", *rows[:900], "  ", *rows[900:], ""]),
         }
-        monkeypatch.setattr(runner, "_ROWS_PER_WRITE", 7)  # many blocks per CSV
+        monkeypatch.setattr(floattext, "BLOCK_ROWS", 7)  # many % blocks per CSV
         row_loop = estimators._read_overlap_rows
         looped = []
         monkeypatch.setattr(estimators, "_read_overlap_rows",
@@ -620,7 +620,7 @@ class TestWriters:
         v = np.maximum(np.exp(-2.0 * (t - t[0])), 0.02 * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, t.size)))
         p = tmp_path / "irregular.csv"
         p.write_text("t,overlap\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), v.tolist())))
-        monkeypatch.setattr(runner, "_ROWS_PER_WRITE", 7)
+        monkeypatch.setattr(floattext, "BLOCK_ROWS", 7)
         res = ingest(p, out_dir=tmp_path)
         _assert_csvs_match_oracle(res)
         div, curve = res.divergence, res.estimate.finite_time_curve
@@ -628,28 +628,28 @@ class TestWriters:
         lines = (res.out_dir / "lambda_t.csv").read_text().splitlines()[2:]
         assert "-0" in [line.split(",")[0] for line in lines]
 
-    # the three tests above with 7-row kernel blocks: every series takes the kernel,
-    # in many blocks
+    # the three tests above with 7-row kernel blocks: every block of every series
+    # takes the kernel, its last too
     @pytest.mark.parametrize("system", sorted(_SMALL_RUNS))
     def test_run_csvs_match_oracle_in_kernel_blocks(self, tmp_path, monkeypatch, system):
-        monkeypatch.setattr(floattext, "BLOCK_ROWS", 7)
+        _kernel_blocks(monkeypatch)
         self.test_run_csvs_match_oracle(tmp_path, system)
 
     def test_ingest_csvs_match_oracle_in_kernel_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(floattext, "BLOCK_ROWS", 7)
+        _kernel_blocks(monkeypatch)
         self.test_ingest_csvs_match_oracle(tmp_path, monkeypatch)
 
     def test_lambda_t_takes_the_series_t_text_in_kernel_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(floattext, "BLOCK_ROWS", 7)
+        _kernel_blocks(monkeypatch)
         self.test_lambda_t_takes_the_series_t_text(tmp_path, monkeypatch)
 
     @pytest.mark.parametrize("rows", ["edge-1", "edge", "edge+1", "2edge+1", "linear",
                                       "kernel-1", "kernel", "kernel+1", "2kernel+1"])
     def test_distance_and_divergence_share_t_and_flag_text(self, tmp_path, rows):
-        # at the real block sizes, of the % writer and of the kernel: ingests that
-        # end on a noisy saturated plateau around the block edges, and the default
+        # around the real KERNEL_ROWS (% to kernel) and BLOCK_ROWS (kernel blocks,
+        # then %): ingests that end on a noisy saturated plateau, and the default
         # linear run, whose t = 0 row has log_divergence -inf
-        edge = floattext.BLOCK_ROWS if "kernel" in rows else runner._ROWS_PER_WRITE
+        edge = floattext.BLOCK_ROWS if "kernel" in rows else floattext.KERNEL_ROWS
         if rows == "linear":
             res = run(ExperimentConfig(id="linear", system="linear"), out_dir=tmp_path)
         else:
@@ -687,21 +687,41 @@ class TestWriters:
             assert points == _polyline_oracle(curves, runner._FIGURES[fig_id][1]), fig_id
 
     def test_figure_csvs_match_oracle_in_kernel_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(floattext, "BLOCK_ROWS", 7)
+        _kernel_blocks(monkeypatch)
         for fig_id in runner.FIGURE_IDS:
             for res in figure(fig_id, tmp_path):
                 _assert_csvs_match_oracle(res)
 
-    @pytest.mark.parametrize("steps", [2046, 2047])
-    def test_a_series_of_one_kernel_block_takes_the_kernel(self, tmp_path, monkeypatch, steps):
-        frames = []
-        kernel = floattext.float_frame
-        monkeypatch.setattr(floattext, "float_frame", lambda x: frames.append(x.size) or kernel(x))
-        res = run(ExperimentConfig(id="linear", system="linear", steps=steps), out_dir=tmp_path)
+    @pytest.mark.parametrize("rows", [floattext.KERNEL_ROWS - 1, floattext.KERNEL_ROWS],
+                             ids=["kernel-1", "kernel"])
+    def test_a_series_of_one_kernel_block_takes_the_kernel(self, tmp_path, monkeypatch, rows):
+        frames = _frame_sizes(monkeypatch)
+        res = run(ExperimentConfig(id="linear", system="linear", steps=rows - 1), out_dir=tmp_path)
         _assert_csvs_match_oracle(res)
-        rows = steps + 1
-        assert (rows >= floattext.BLOCK_ROWS) == bool(frames)
-        assert all(size <= floattext.BLOCK_ROWS for size in frames)
+        assert (rows >= floattext.KERNEL_ROWS) == bool(frames)
+        assert all(floattext.KERNEL_ROWS <= size <= floattext.BLOCK_ROWS for size in frames)
+
+    def test_a_series_past_its_kernel_blocks_ends_in_a_percent_block(self, tmp_path, monkeypatch):
+        # one kernel block, then KERNEL_ROWS - 1 rows of % in the same files
+        frames = _frame_sizes(monkeypatch)
+        rows = floattext.BLOCK_ROWS + floattext.KERNEL_ROWS - 1
+        res = run(ExperimentConfig(id="linear", system="linear", steps=rows - 1), out_dir=tmp_path)
+        _assert_csvs_match_oracle(res)
+        assert frames == [floattext.BLOCK_ROWS] * 3  # t, distance and divergence
+
+
+def _kernel_blocks(monkeypatch):
+    """7-row blocks, each of them, the last too, through the kernel."""
+    monkeypatch.setattr(floattext, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(floattext, "KERNEL_ROWS", 1)
+
+
+def _frame_sizes(monkeypatch) -> list:
+    """The size of each block that float_frame formats from now on."""
+    sizes = []
+    kernel = floattext.float_frame
+    monkeypatch.setattr(floattext, "float_frame", lambda x: sizes.append(x.size) or kernel(x))
+    return sizes
 
 
 # every system's small run, an ingest long enough for the float kernel, and fig1a;
