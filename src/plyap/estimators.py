@@ -137,6 +137,11 @@ def asymptotic_estimate(
 ) -> ExponentEstimate:
     """Windowed asymptotic exponent: the least-squares slope of ln|dL| = a + lambda * t.
 
+    The slope is the closed-form one, sum (t - mean t)(y - mean y) over
+    sum (t - mean t)^2 with y = ln|dL|; the residual is the RMS of y about the
+    fitted line.  Both run over the window's usable points: unsaturated
+    stencils with a finite ln|dL|.
+
     window is (t1, t2); either bound may be None (open).  A given bound is
     kept.  An open end is half a sample step before saturation_time when that
     is given, so the fit stays strictly before the plateau, and the last
@@ -182,13 +187,15 @@ def asymptotic_estimate(
     if npts < need:
         raise InsufficientDataError(
             f"window ({t1}, {t2}) holds {npts} usable points; at least {need} required{note}")
-    design = np.column_stack([np.ones(npts), t[sel]])
-    coef, *_ = np.linalg.lstsq(design, lnd[sel], rcond=None)
-    fitted = design @ coef
-    residual = float(np.sqrt(np.mean((lnd[sel] - fitted) ** 2)))
+    # the closed-form slope about the means, which keeps its digits when the
+    # times sit far from zero
+    dt = t[sel] - np.mean(t[sel])
+    dy = lnd[sel] - np.mean(lnd[sel])
+    slope = np.sum(dt * dy) / np.sum(dt * dt)
+    residual = float(np.sqrt(np.mean((dy - slope * dt) ** 2)))
     return ExponentEstimate(
         finite_time_curve=curve,
-        asymptotic_value=float(coef[1]),
+        asymptotic_value=float(slope),
         fit_window=(float(t1), float(t2)),
         residual=residual,
     )

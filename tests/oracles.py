@@ -8,7 +8,9 @@ return plyap's state types (GridDensity, ProjectiveState) but share no
 evolution code with it.  The trajectory exponent is the classical
 Lyapunov exponent of a point map, which plyap's density and ray exponents
 are compared against; the distances state the ray-space metric and the
-flat metric that the identities in the tests are written in.
+flat metric that the identities in the tests are written in.  The
+least-squares line is an SVD solve, against which plyap's closed-form fit
+is checked.
 """
 
 import numpy as np
@@ -296,3 +298,11 @@ def split_operator_propagate(psi, sys, dt, steps):
             f"{outer:.2e} of the mass sits in the outer 10% of the grid; enlarge the domain"
         )
     return out
+
+
+def lstsq_line(t, y):
+    """The least-squares line y = a + b t by an SVD solve on the [1, t] design:
+    its slope b and the RMS of y about it."""
+    design = np.column_stack([np.ones(t.size), t])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return float(coef[1]), float(np.sqrt(np.mean((y - design @ coef) ** 2)))

@@ -31,7 +31,7 @@ from plyap import (
 )
 from plyap.quantum import GaussianState, QuadraticSystem, gaussian_autocorrelation
 
-from oracles import apply_map, linear_map, rotation_map, trajectory_lyapunov
+from oracles import apply_map, linear_map, lstsq_line, rotation_map, trajectory_lyapunov
 
 LN2_HALF = np.log(2.0) / 2.0
 
@@ -137,6 +137,12 @@ class TestFiniteTime:
             finite_time_p_lyapunov(div, delta_index=2)
 
 
+def _series_with_increments(t, y):
+    """An unsaturated series over times t whose ln|dL| at t[k] is y[k] up to rounding."""
+    log_values = np.log(np.cumsum(np.exp(np.concatenate([[0.0], y]))))
+    return DivergenceSeries(t, np.zeros(t.size), log_values, 0.0)
+
+
 class TestAsymptoticEstimate:
     @pytest.mark.parametrize("r", [2, 3, 5])
     def test_linear_maps_half_rate(self, r):
@@ -228,6 +234,36 @@ class TestAsymptoticEstimate:
         div = ingest_overlap_series(raw, theta=0.0)
         with pytest.raises(InsufficientDataError):
             asymptotic_estimate(div, window=window)
+
+    def test_residual_is_the_rms_about_the_line(self):
+        # deviations (1, -1, -1, 1) * 0.1 are orthogonal to 1 and t, so the
+        # fitted line is 1 + 0.5 t and the RMS of the deviations is 0.1
+        y = 1.0 + 0.5 * np.arange(4.0) + 0.1 * np.array([1.0, -1.0, -1.0, 1.0])
+        est = asymptotic_estimate(_series_with_increments(np.arange(5.0), y), window=(0.0, 3.0))
+        assert est.asymptotic_value == pytest.approx(0.5, rel=1e-12)
+        assert est.residual == pytest.approx(0.1, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(offset=st.one_of(st.sampled_from([0.0, 1e6]), st.floats(0.0, 1e6)),
+           span=st.floats(1e-3, 1e3), n=st.integers(4, 5000), rise=st.floats(-20.0, 30.0),
+           noise=st.sampled_from([0.0, 1e-9, 1e-3, 0.3]), seed=st.integers(0, 2**32 - 1))
+    def test_fit_matches_the_lstsq_oracle(self, offset, span, n, rise, noise, seed):
+        # a noisy line of n points over times offset + [0, span * max(offset, 1)];
+        # with eps the unit roundoff, the bounds are 32 eps times the scale of
+        # each quantity's rounding error (the largest ratio measured over 3000
+        # drawn lines was 2.5 for both)
+        t = offset + span * max(offset, 1.0) * np.linspace(0.0, 1.0, n + 1)
+        y = rise * np.linspace(0.0, 1.0, n) + noise * np.random.default_rng(seed).standard_normal(n)
+        div = _series_with_increments(t, y)
+        est = asymptotic_estimate(div, window=(t[0], t[-2]))
+        ts, lnd, _ = estimators._log_increments(div, 1)
+        slope, residual = lstsq_line(ts, lnd)
+        eps = np.finfo(float).eps
+        spread = np.std(ts)
+        slope_scale = (1.0 + abs(np.mean(ts)) / spread) * np.std(lnd) / spread
+        residual_scale = np.max(np.abs(lnd)) + abs(slope) * np.max(np.abs(ts))
+        assert abs(est.asymptotic_value - slope) <= 32 * eps * slope_scale
+        assert abs(est.residual - residual) <= 32 * eps * residual_scale
 
     def test_all_saturated_raises(self):
         t = np.arange(6.0)

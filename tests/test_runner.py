@@ -725,38 +725,61 @@ def _frame_sizes(monkeypatch) -> list:
 
 
 # every system's small run, an ingest long enough for the float kernel, and fig1a;
-# prints the heavy modules that plyap loaded beyond a bare "import numpy"
+# prints the heavy modules that plyap loaded beyond a bare "import numpy", and
+# the numpy.linalg functions that the runs called
 _FOOTPRINT_SCRIPT = """
-import json, sys
+import functools, inspect, json, sys
 import numpy
 heavy = ("_hashlib", "numpy.ma")
 bare = {name for name in heavy if name in sys.modules}
+called = set()
+def record(name, f):
+    @functools.wraps(f)
+    def wrapper(*args, **kwargs):
+        called.add(name)
+        return f(*args, **kwargs)
+    return wrapper
+for name, f in inspect.getmembers(numpy.linalg, inspect.isroutine):
+    if not name.startswith("_"):
+        setattr(numpy.linalg, name, record(name, f))
 from plyap import ExperimentConfig, figure, ingest, run
 runs, series, out = json.loads(sys.argv[1]), sys.argv[2], sys.argv[3]
 for system, params in runs.items():
     run(ExperimentConfig(id=system, system=system, **params), out_dir=out)
 ingest(series, out_dir=out)
 figure("fig1a", out)
-print(json.dumps([name for name in heavy if name in sys.modules and name not in bare]))
+print(json.dumps({"modules": [name for name in heavy if name in sys.modules and name not in bare],
+                  "linalg": sorted(called)}))
 """
 
 
+@pytest.fixture(scope="module")
+def footprint(tmp_path_factory) -> dict:
+    """What _FOOTPRINT_SCRIPT printed, run in a fresh interpreter."""
+    tmp_path = tmp_path_factory.mktemp("footprint")
+    rng = np.random.default_rng(3)
+    t = np.arange(3000) * 0.01
+    v = np.maximum(np.exp(-0.5 * t), 0.005 * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, t.size)))
+    series = tmp_path / "noisy.csv"
+    series.write_text("t,overlap\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), v.tolist())))
+    runs = {**_SMALL_RUNS, "overlap_file": {**_SMALL_RUNS["overlap_file"], "path": str(series)}}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT, json.dumps(runs), str(series), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestStartupFootprint:
-    def test_runs_load_no_openssl_or_numpy_ma(self, tmp_path):
+    def test_runs_load_no_openssl_or_numpy_ma(self, footprint):
         # hashlib maps OpenSSL (about 3.6 MB) and np.median imports numpy.ma
         # (about 0.75 MB): both are start-up cost of every plyap process
-        rng = np.random.default_rng(3)
-        t = np.arange(3000) * 0.01
-        v = np.maximum(np.exp(-0.5 * t), 0.005 * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, t.size)))
-        series = tmp_path / "noisy.csv"
-        series.write_text("t,overlap\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), v.tolist())))
-        runs = {**_SMALL_RUNS, "overlap_file": {**_SMALL_RUNS["overlap_file"], "path": str(series)}}
-        src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-c", _FOOTPRINT_SCRIPT, json.dumps(runs), str(series), str(tmp_path)],
-            env=env, capture_output=True, text=True, check=True)
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        assert footprint["modules"] == []
+
+    def test_runs_call_no_numpy_linalg(self, footprint):
+        # the first numpy.linalg call in a process pages in about 1 MB of LAPACK
+        assert footprint["linalg"] == []
 
 
 def _kernel_text(values) -> bytes:
