@@ -18,28 +18,15 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # for test_runner
 
 from plyap import ExperimentConfig, ingest, run, runner  # noqa: E402
-from test_runner import _SMALL_RUNS  # noqa: E402
+from test_runner import _SMALL_RUNS, _SMALL_SERIES, _noisy_ingest_text  # noqa: E402
 
 PATH = Path(__file__).resolve().parent / "summaries.json"
 REFERENCE_FIELDS = ("classification", "lambda", "fit_window", "residual", "saturation_time", "config_hash")
 # the default run of each system that takes no default omega
 _OMEGA = {"oscillator": 2.0, "barrier": 2.0}
-
-
-def _write_inputs():
-    """The small overlap_file run's 120-row series and the noisy ingest's file."""
-    Path("series.csv").write_text(
-        "t,overlap\n" + "".join(f"{k},{max(0.9**k, 0.001)}\n" for k in range(120)))
-    rng = np.random.default_rng(3)
-    t = np.arange(3000) * 0.01
-    v = np.maximum(np.exp(-0.5 * t), 0.005 * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, t.size)))
-    Path("noisy.csv").write_text(
-        "t,overlap\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), v.tolist())))
 
 
 def _configs():
@@ -70,7 +57,8 @@ def _inside(directory):
 def summaries(directory) -> dict:
     """Every reference run, inside directory: its REFERENCE_FIELDS by run name."""
     with _inside(directory):
-        _write_inputs()
+        Path("series.csv").write_text(_SMALL_SERIES)
+        Path("noisy.csv").write_text(_noisy_ingest_text())
         results = {name: run(cfg).summary for name, cfg in _configs()}
         results["ingest/noisy"] = ingest("noisy.csv").summary
     return {name: {key: summary[key] for key in REFERENCE_FIELDS} for name, summary in results.items()}

@@ -553,6 +553,16 @@ _SMALL_RUNS = {
     "bvs_baker": dict(n_dim=64, dt=1),
     "overlap_file": dict(convention="probability"),
 }
+# the series that the small overlap_file run reads
+_SMALL_SERIES = "t,overlap\n" + "".join(f"{k},{max(0.9**k, 0.001)}\n" for k in range(120))
+
+
+def _noisy_ingest_text() -> str:
+    """3000 seeded rows of an overlap decaying as exp(-t/2) onto a floor of 0.005 +- 50%."""
+    rng = np.random.default_rng(3)
+    t = np.arange(3000) * 0.01
+    v = np.maximum(np.exp(-0.5 * t), 0.005 * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, t.size)))
+    return "t,overlap\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), v.tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -570,8 +580,7 @@ class TestWriters:
         params = dict(_SMALL_RUNS[system])
         if system == "overlap_file":
             params["path"] = str(tmp_path / "series.csv")
-            (tmp_path / "series.csv").write_text(
-                "t,overlap\n" + "".join(f"{k},{max(0.9**k, 0.001)}\n" for k in range(120)))
+            (tmp_path / "series.csv").write_text(_SMALL_SERIES)
         res = run(ExperimentConfig(id=system, system=system, **params), out_dir=tmp_path)
         _assert_csvs_match_oracle(res)
         if system == "linear":
@@ -757,11 +766,8 @@ print(json.dumps({"modules": [name for name in heavy if name in sys.modules and 
 def footprint(tmp_path_factory) -> dict:
     """What _FOOTPRINT_SCRIPT printed, run in a fresh interpreter."""
     tmp_path = tmp_path_factory.mktemp("footprint")
-    rng = np.random.default_rng(3)
-    t = np.arange(3000) * 0.01
-    v = np.maximum(np.exp(-0.5 * t), 0.005 * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, t.size)))
     series = tmp_path / "noisy.csv"
-    series.write_text("t,overlap\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), v.tolist())))
+    series.write_text(_noisy_ingest_text())
     runs = {**_SMALL_RUNS, "overlap_file": {**_SMALL_RUNS["overlap_file"], "path": str(series)}}
     src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
