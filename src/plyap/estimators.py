@@ -18,6 +18,7 @@ points and one from an open start two (fit_points_needed).
 """
 
 import csv
+import os
 from array import array
 from contextlib import contextmanager
 
@@ -269,46 +270,65 @@ def _overlap_csv(path):
 # parser strips as whitespace but float() rejects, and the line breaks of
 # str.splitlines that csv does not break lines at
 _ROW_LOOP_CHARS = "\x00\x1c\x1d\x1e\x1f\x0b\x0c\x85\u2028\u2029"
+# the characters _parses_as_rows reads at a time, before it reads on to a line end
+CHUNK_CHARS = 1 << 20
+# the names that numpy's loadtxt opens with a decompressor, whatever the file holds
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _parses_as_rows(text) -> bool:
-    """Whether numpy's C reader may read these data rows: it then gives the
-    row loop's values or rejects the file.
+def _parses_as_rows(fh) -> bool:
+    """Whether numpy's C reader may read the data rows left in fh: it then
+    gives the row loop's values or rejects the file.
 
-    The text must hold a data row and none of _ROW_LOOP_CHARS, and no field
-    may pass csv's size limit, which the row loop enforces.  An unquoted field
-    ends at a comma or line end, so it is short enough when each aligned block
-    of half the limit holds one; a quoted field may span them, so text with a
-    quote must itself be within the limit."""
+    The rows are read in chunks of CHUNK_CHARS that each end at a line end.
+    They must hold a data row and none of _ROW_LOOP_CHARS, and no field may
+    pass csv's size limit, which the row loop enforces.  An unquoted field
+    ends at a comma or line end, so it lies in one chunk and is short enough
+    when each aligned block of half the limit holds a field end; a quoted
+    field may span them, so rows with a quote must themselves be within the
+    limit."""
     limit = csv.field_size_limit()
-    if not text.strip() or any(c in text for c in _ROW_LOOP_CHARS):
-        return False
-    if '"' in text:
-        return len(text) <= limit
     half = limit // 2
-    return all(
-        any(text.find(end, i, i + half) >= 0 for end in ",\n\r")
-        for i in range(0, len(text) - half + 1, half)
-    )
+    size, quoted, data = 0, False, False
+    for chunk in iter(lambda: fh.read(CHUNK_CHARS) + fh.readline(), ""):
+        if any(c in chunk for c in _ROW_LOOP_CHARS):
+            return False
+        size += len(chunk)
+        quoted = quoted or '"' in chunk
+        if quoted and size > limit:
+            return False
+        if not all(any(chunk.find(end, i, i + half) >= 0 for end in ",\n\r")
+                   for i in range(0, len(chunk) - half + 1, half)):
+            return False
+        data = data or not chunk.isspace()
+    return data
 
 
 def read_overlap_csv(path, convention: str = "amplitude") -> OverlapSeries:
     """Read an overlap series from a UTF-8 CSV file with header ``t,overlap``.
 
-    The data rows are parsed in one C pass.  A file that pass rejects or might
-    read otherwise, and a file whose series is invalid, is read again row by
-    row, which raises the error naming the file line."""
-    with _overlap_csv(path) as (fh, _):
+    The file is read twice.  _parses_as_rows checks it chunk by chunk, and
+    then numpy's C reader parses the data rows straight from the file, in
+    blocks.  Neither holds the file's text, and the file is never
+    decompressed or fetched: numpy gets its absolute path, and a name it
+    would decompress by (.gz, .bz2, .xz, .lzma) is read by the row loop.  A
+    file the check or the C reader rejects, one that cannot be read again,
+    and one whose series is invalid is read row by row, which raises the
+    error naming the file line."""
+    with _overlap_csv(path) as (fh, reader):
         try:
-            text = fh.read()
+            fast = _parses_as_rows(fh)
         except UnicodeDecodeError:  # the row loop reports where, as before
-            text = ""
-    if _parses_as_rows(text):
+            fast = False
+        header_lines = reader.line_num
+    name = os.path.abspath(os.fsdecode(path))  # a relative name may parse as a URL
+    if fast and os.path.splitext(name)[1] not in _COMPRESSED_SUFFIXES:
         try:
-            data = np.loadtxt(text.splitlines(keepends=True), delimiter=",", usecols=(0, 1),
-                              ndmin=2, comments=None, quotechar='"')
+            data = np.loadtxt(name, delimiter=",", usecols=(0, 1), ndmin=2,
+                              comments=None, quotechar='"', skiprows=header_lines,
+                              encoding="utf-8-sig")
             return OverlapSeries(data[:, 0], data[:, 1], convention=convention)
-        except (ValueError, DataFormatError):
+        except (OSError, ValueError, DataFormatError):
             pass
     return _read_overlap_rows(path, convention)
 

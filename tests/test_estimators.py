@@ -1,3 +1,7 @@
+import math
+import random
+import tracemalloc
+import urllib.request
 import warnings
 from functools import partial
 from unittest import mock
@@ -413,6 +417,56 @@ class TestOverlapCsv:
             warnings.simplefilter("error")
             with pytest.raises(DataFormatError, match="no data rows"):
                 read_overlap_csv(p)
+
+    # numpy's loadtxt decompresses a file by these suffixes, and fetches a name
+    # that parses as a URL; the reader must do neither
+    @pytest.mark.parametrize("name", ["s.gz", "s.bz2", "s.xz", "s.lzma", "http://h/s.csv"])
+    def test_any_name_is_read_as_plain_text(self, tmp_path, monkeypatch, name):
+        def no_fetch(url, *args, **kwargs):
+            raise AssertionError(f"fetched {url}")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+        monkeypatch.chdir(tmp_path)
+        text = "t,overlap\n" + "".join(f"{k},{0.9**k!r}\n" for k in range(12))
+        (tmp_path / "plain.csv").write_text(text)
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+        a, b = read_overlap_csv("plain.csv"), read_overlap_csv(name)
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.overlaps.tobytes() == b.overlaps.tobytes()
+
+    def test_file_gone_before_the_c_pass_is_a_data_error(self, tmp_path, monkeypatch):
+        p = tmp_path / "s.csv"
+        p.write_text("t,overlap\n0,1.0\n1,0.5\n2,0.25\n")
+        check = estimators._parses_as_rows
+
+        def check_then_remove(fh):
+            p.unlink()
+            return check(fh)
+
+        monkeypatch.setattr(estimators, "_parses_as_rows", check_then_remove)
+        with pytest.raises(DataFormatError, match="cannot read"):
+            read_overlap_csv(p)
+
+    def test_reader_peak_memory_per_row(self, tmp_path):
+        # a seeded file of the benchmark's ingest_csv shape: decay onto a noisy
+        # plateau, written with repr
+        rows, noise = 100_000, random.Random(5)
+        dt = 200.0 / rows
+        p = tmp_path / "long.csv"
+        p.write_text("t,overlap\n" + "".join(
+            f"{k * dt!r},{max(math.exp(-0.5 * k * dt), 0.005 * (1.0 + 0.5 * noise.uniform(-1.0, 1.0)))!r}\n"
+            for k in range(rows)))
+        read_overlap_csv(p)  # the first read in a process also pays for one-off allocations
+        tracemalloc.start()
+        try:
+            read_overlap_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the two float64 columns are 16 bytes a row; a reader that holds the
+        # file's text, or a string per row, peaks above 100
+        assert peak < 48 * rows
 
     def test_overflowing_time_span_reports_last_line(self, tmp_path):
         # each time is finite and increasing, but t[-1] - t[0] is not a double

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -453,7 +454,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "name, exp_id",
         [("my run.csv", "ingest-my_run"), ("a\tb\\c d.csv", "ingest-a_b_c_d"),
-         ("plain.csv", "ingest-plain")],
+         ("plain.csv", "ingest-plain"), ("plain.gz", "ingest-plain")],
     )
     def test_ingest_id_from_any_file_name(self, tmp_path, name, exp_id):
         p = tmp_path / name
@@ -1300,7 +1301,14 @@ def _read_or_error(read, path):
     return raw.times.tobytes(), raw.overlaps.tobytes()
 
 
+# twelve rows, which span many chunks of _SMALL_CHUNK characters
+_ROWS = "t,overlap\n" + "".join(f"{k},{0.9**k!r}\n" for k in range(12))
+_SMALL_CHUNK = 32
+
+
 class TestOverlapCsvReaders:
+    # static, so that the chunked test below can run it from another instance
+    @staticmethod
     @settings(max_examples=150, deadline=None, derandomize=True)
     @example("t,overlap\n1_0,1.0\n11,0.5\n12,0.25\n")
     @example("t,overlap\n0,1.0\n \n1,0.5\n2,0.25\n")
@@ -1311,8 +1319,15 @@ class TestOverlapCsvReaders:
     @example("t,overlap\n0,1.0\n1,0.5,\x00\n")
     @example("t,overlap\n0,1.0\n1,0.5,x\n" + "0" * 140_000 + "2,0.25\n")
     @example('t,overlap\n0,1.0,"' + "x" * 140_000 + '"\n1,0.5\n')
+    # what sends a file to the row loop, in its last chunk only
+    @example(_ROWS + "12,0.2\x0c13,0.1\n")
+    @example(_ROWS + "12,0.2,\x00\n")
+    @example(_ROWS + " \n")
+    @example(_ROWS + '12,"0.2"\n')
+    @example(_ROWS + '12,0.2,"' + "x\n" * 70_000 + '"\n')  # a quoted field over csv's limit
+    @example("t,overlap\n" + "\n" * 80)
     @given(_overlap_csv_layouts())
-    def test_c_pass_and_row_loop_agree(self, text):
+    def test_c_pass_and_row_loop_agree(text):
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
             warnings.simplefilter("ignore")
             path = os.path.join(tmp, "series.csv")
@@ -1321,3 +1336,9 @@ class TestOverlapCsvReaders:
             fast = _read_or_error(estimators.read_overlap_csv, path)
             rows = _read_or_error(lambda p: estimators._read_overlap_rows(p, "amplitude"), path)
         assert fast == rows
+
+    def test_c_pass_and_row_loop_agree_across_chunks(self):
+        # every example and every file longer than a few rows is checked in
+        # several chunks
+        with mock.patch.object(estimators, "CHUNK_CHARS", _SMALL_CHUNK):
+            self.test_c_pass_and_row_loop_agree()
